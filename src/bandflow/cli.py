@@ -70,7 +70,7 @@ _DEFAULTS = {
         "w": 0.3,
         "methods": "all",
     },
-    "witness": {**_COMMON_DEFAULTS, "format": "json", "workers": 4},
+    "witness": {**_COMMON_DEFAULTS, "format": "json"},
     "sweep": {
         "a": "1.5,2,3",
         "b": "0.3,0.5,0.7",
@@ -146,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="search one band for a certificate")
     common(p)
-    p.add_argument("--workers", type=int, help="candidate evaluation threads")
 
     p = sub.add_parser("sweep", help="witness search over a grid of bands")
     common(p, grid=True)
@@ -315,10 +314,7 @@ def cmd_mc(resolved: dict) -> str:
 
 
 def cmd_witness(resolved: dict) -> str:
-    config = WitnessSearchConfig(
-        mc_rel_tol=float(resolved["tol"]),
-        workers=int(resolved["workers"]),
-    )
+    config = WitnessSearchConfig(mc_rel_tol=float(resolved["tol"]))
     resolved["search"] = config.describe()
     result = find_witness(_surface(resolved), config)
     if resolved["format"] == "csv":

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -56,14 +58,21 @@ class MCResult:
     error_estimate covers the adaptive radial quadrature; the angular
     direction is spectrally converged for the shipped trigonometric
     integrands.  samples holds (r, radial integrand) rows for plotting and
-    is not part of the serialized result.
+    is not part of the serialized result; sampler builds them on first
+    read, so results that are never plotted cost no sample table.
     """
 
     value: float
     method: str
     error_estimate: float
     n_nodes: int
-    samples: np.ndarray | None = field(default=None, compare=False, repr=False)
+    sampler: Callable[[], np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    @cached_property
+    def samples(self) -> np.ndarray | None:
+        return None if self.sampler is None else self.sampler()
 
     @property
     def significant(self) -> bool:
@@ -242,15 +251,30 @@ def _theta_nodes(n_theta: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * np.arange(n_theta) / n_theta
 
 
-def _radial_quadrature(
-    density, curve: ProfileCurve, rel_tol: float, per_node: int
-) -> tuple[float, float, int, np.ndarray]:
+def _radial_mc(
+    method: str,
+    density,
+    curve: ProfileCurve,
+    rel_tol: float,
+    per_node: int,
+    **options,
+) -> MCResult:
+    """Integrate a radial density across the band; options go to the quadrature."""
     result = adaptive_gauss_legendre(
-        density, -curve.r_b, curve.r_b, rel_tol=rel_tol, abs_tol=1e-12
+        density, -curve.r_b, curve.r_b, rel_tol=rel_tol, abs_tol=1e-12, **options
     )
-    grid = np.linspace(-curve.r_b, curve.r_b, _SAMPLE_POINTS)
-    samples = np.column_stack([grid, density(grid)])
-    return result.value, result.error, result.n_evals * per_node, samples
+
+    def sampler() -> np.ndarray:
+        grid = np.linspace(-curve.r_b, curve.r_b, _SAMPLE_POINTS)
+        return np.column_stack([grid, density(grid)])
+
+    return MCResult(
+        value=result.value,
+        method=method,
+        error_estimate=result.error,
+        n_nodes=result.n_evals * per_node,
+        sampler=sampler,
+    )
 
 
 def mc_bump_formula(
@@ -264,7 +288,10 @@ def mc_bump_formula(
 
     Integrand pi F^2 c1 (h^2 eps^2 - c1^2 h'^2) with eps^2 expanded as
     dc1^2 - c1 ddc1 - 1; the defect term is the only positive contribution
-    and vanishes identically on the sphere.
+    and vanishes identically on the sphere.  The band is split at the
+    joins of h, and each smooth piece is one 32-node panel checked against
+    its two 32-node halves, so a plateau bump usually needs a single
+    integrand call.
     """
     _check_bump(h, curve)
 
@@ -281,13 +308,15 @@ def mc_bump_formula(
             * (hv**2 * eps_sq - fr.c1**2 * hd**2)
         )
 
-    value, error, nodes, samples = _radial_quadrature(density, curve, rel_tol, 1)
-    return MCResult(
-        value=value,
-        method="formula-1d",
-        error_estimate=error,
-        n_nodes=nodes,
-        samples=samples,
+    return _radial_mc(
+        "formula-1d",
+        density,
+        curve,
+        rel_tol,
+        1,
+        points=h.joins,
+        initial_panels=1,
+        nodes_per_panel=32,
     )
 
 
@@ -337,14 +366,7 @@ def mc_reduced(
         cell = -dw1_dth**2 - c1**2 * dw1_dr**2 + sharpness * w1**2
         return (fv**2 * fr.c1) * cell.sum(axis=1) * weight
 
-    value, error, nodes, samples = _radial_quadrature(density, curve, rel_tol, n_theta)
-    return MCResult(
-        value=value,
-        method="reduced-2d",
-        error_estimate=error,
-        n_nodes=nodes,
-        samples=samples,
-    )
+    return _radial_mc("reduced-2d", density, curve, rel_tol, n_theta)
 
 
 def mc_direct(
@@ -397,14 +419,7 @@ def mc_direct(
         ) * w2
         return (paired * c1).sum(axis=1) * weight
 
-    value, error, nodes, samples = _radial_quadrature(density, curve, rel_tol, n_theta)
-    return MCResult(
-        value=value,
-        method="direct-geometric",
-        error_estimate=error,
-        n_nodes=nodes,
-        samples=samples,
-    )
+    return _radial_mc("direct-geometric", density, curve, rel_tol, n_theta)
 
 
 def optimal_bump_ratio(F: RadialProfile, curve: ProfileCurve, n: int = 4000) -> float:

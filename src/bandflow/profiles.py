@@ -41,7 +41,15 @@ def _unbatch(values: np.ndarray, scalar: bool) -> float | np.ndarray:
 
 
 class RadialProfile(ABC):
-    """A function of the radial coordinate with three exact derivatives."""
+    """A function of the radial coordinate with three exact derivatives.
+
+    `joins` lists, in ascending order, the radii where the profile is only
+    finitely smooth (piecewise families switch formula there).  Quadrature
+    over a profile passes them as breakpoints so that every panel sees one
+    smooth piece; smooth families have none.
+    """
+
+    joins: tuple[float, ...] = ()
 
     @abstractmethod
     def value(self, r) -> float | np.ndarray: ...
@@ -237,8 +245,9 @@ class PlateauProfile(RadialProfile):
 
     The profile is exactly 1 on |r| <= (1 - edge_fraction) * half_width,
     exactly 0 at |r| >= half_width, and a septic smoothstep in between, so
-    it is C^3 across both joins.  Used as the bump h generating the
-    perturbation field; the descent width is the search parameter w.
+    it is C^3 across both joins, which `joins` lists on each side.  Used as
+    the bump h generating the perturbation field; the descent width is the
+    search parameter w.
     """
 
     def __init__(self, half_width: float, edge_fraction: float):
@@ -252,6 +261,7 @@ class PlateauProfile(RadialProfile):
         self.edge_fraction = float(edge_fraction)
         self._start = (1.0 - self.edge_fraction) * self.half_width
         self._span = self.edge_fraction * self.half_width
+        self.joins = (-self.half_width, -self._start, self._start, self.half_width)
 
     def _pieces(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = (np.abs(arr) - self._start) / self._span
@@ -371,12 +381,17 @@ class HelmholtzProfile(RadialProfile):
         }
 
 
+def _merged_joins(left: RadialProfile, right: RadialProfile) -> tuple[float, ...]:
+    return tuple(sorted(set(left.joins) | set(right.joins)))
+
+
 class SumProfile(RadialProfile):
     """Pointwise sum of two profiles."""
 
     def __init__(self, left: RadialProfile, right: RadialProfile):
         self.left = left
         self.right = right
+        self.joins = _merged_joins(left, right)
 
     def value(self, r):
         return self.left.value(r) + self.right.value(r)
@@ -403,6 +418,7 @@ class ProductProfile(RadialProfile):
     def __init__(self, left: RadialProfile, right: RadialProfile):
         self.left = left
         self.right = right
+        self.joins = _merged_joins(left, right)
 
     def value(self, r):
         return self.left.value(r) * self.right.value(r)

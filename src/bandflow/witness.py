@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,8 @@ class WitnessSearchConfig:
     The width parameter w of the bump is the fraction of the half-band
     used by the descent; it is line-searched after the coarse grid.  All
     grids are fixed tuples so identical configs replay identically.
+    workers is the number of cells `sweep` runs at once; one cell's
+    search always runs in a single thread.
     """
 
     families: tuple[str, ...] = ("power", "gaussian", "helmholtz")
@@ -336,9 +338,9 @@ def find_witness(
     Candidates are ranked by their optimized curvature among the
     Arnold-stable ones; the leader is re-verified with the reduced and
     direct routes, and certification additionally demands that the value
-    clears ten times its own quadrature error.  Ties and orderings are
-    fixed by candidate enumeration order, so results are reproducible
-    across thread counts.
+    clears ten times its own quadrature error.  Candidates run one after
+    another in enumeration order, which also breaks ties, so results are
+    reproducible.
     """
     curve = solve_profile(spec)
     lam = lambda1(curve, n=config.eigen_grid)
@@ -358,16 +360,10 @@ def find_witness(
             diagnostics={"candidates_examined": 0, "candidates": []},
         )
 
-    def run(entry: tuple[int, tuple[str, dict, RadialProfile]]) -> CandidateOutcome:
-        order, (family, params, f) = entry
-        return _evaluate_candidate(order, family, params, f, curve, lam, config)
-
-    workers = max(1, config.workers)
-    if workers == 1:
-        outcomes = [run(e) for e in enumerate(candidates)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, enumerate(candidates)))
+    outcomes = [
+        _evaluate_candidate(order, family, params, f, curve, lam, config)
+        for order, (family, params, f) in enumerate(candidates)
+    ]
 
     stable = [o for o in outcomes if o.stable]
     admissible = [o for o in outcomes if o.admissible]
@@ -496,12 +492,11 @@ def sweep(
     pairs = [
         (float(a), float(b)) for a in a_values for b in b_values
     ]
-    cell_config = replace(config, workers=1)
 
     def run_cell(pair: tuple[float, float]) -> WitnessResult:
         a, b = pair
         try:
-            return find_witness(SurfaceSpec(a, b), cell_config)
+            return find_witness(SurfaceSpec(a, b), config)
         except (BandflowError, ValueError) as exc:
             # record the offending cell without re-tripping spec validation
             spec = object.__new__(SurfaceSpec)

@@ -16,10 +16,12 @@ from bandflow import (
     GaussianProfile,
     PlateauProfile,
     PolynomialProfile,
+    RadialProfile,
     StreamPotentialField,
     TangencyViolation,
     VectorField,
     ZonalVelocityProfile,
+    adaptive_gauss_legendre,
     bump_field,
     field_from_stream,
     mc_bump_formula,
@@ -79,6 +81,87 @@ def test_quadratic_scaling_in_bump(band):
     base = mc_bump_formula(big_f, h, band).value
     tripled = mc_bump_formula(big_f, 3.0 * h, band).value
     assert math.isclose(tripled, 9.0 * base, rel_tol=1e-10)
+
+
+def _formula_density(big_f, h, band):
+    # the 1-d integrand written out again from the public profile surface
+    def density(r):
+        fr = band.frame(r)
+        eps_sq = fr.dc1**2 - fr.c1 * fr.ddc1 - 1.0
+        gain = np.asarray(h.value(r)) ** 2 * eps_sq
+        penalty = fr.c1**2 * np.asarray(h.d1(r)) ** 2
+        return math.pi * np.asarray(big_f.value(r)) ** 2 * fr.c1 * (gain - penalty)
+
+    return density
+
+
+@pytest.mark.parametrize("w", [0.05, 0.3, 0.9])
+def test_formula_lies_within_its_error_estimate(band, w):
+    big_f = ZonalVelocityProfile(CurvePowerProfile(band, 6.0, 1e-3), band)
+    h = PlateauProfile(band.r_b, w)
+    res = mc_bump_formula(big_f, h, band)
+    # an independent panel layout, refined until rounding is all that is left
+    ref = adaptive_gauss_legendre(
+        _formula_density(big_f, h, band),
+        -band.r_b,
+        band.r_b,
+        rel_tol=1e-13,
+        abs_tol=0.0,
+        initial_panels=8,
+        points=h.joins,
+    )
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error
+    assert res.error_estimate <= 1e-8 * abs(res.value)
+
+
+def test_scaled_bump_keeps_its_joins(band):
+    big_f = ZonalVelocityProfile(CurvePowerProfile(band, 8.0, 1e-3), band)
+    h = PlateauProfile(band.r_b, 0.25)
+    tripled = 3.0 * h
+    inner = 0.75 * band.r_b
+    assert tripled.joins == h.joins == (-band.r_b, -inner, inner, band.r_b)
+    assert (h + tripled).joins == h.joins
+    # the same panels, so the same node count and an exact factor of nine
+    base = mc_bump_formula(big_f, h, band)
+    scaled = mc_bump_formula(big_f, tripled, band)
+    assert scaled.n_nodes == base.n_nodes
+    assert math.isclose(scaled.value, 9.0 * base.value, rel_tol=1e-13)
+
+
+class _CountingProfile(RadialProfile):
+    def __init__(self, inner):
+        self.inner = inner
+        self.sizes = []
+
+    def value(self, r):
+        self.sizes.append(np.size(r))
+        return self.inner.value(r)
+
+    def d1(self, r):
+        return self.inner.d1(r)
+
+    def d2(self, r):
+        return self.inner.d2(r)
+
+    def d3(self, r):
+        return self.inner.d3(r)
+
+    def describe(self):
+        return self.inner.describe()
+
+
+def test_sample_table_is_built_only_when_read(band):
+    f = CurvePowerProfile(band, 6.0, 1e-3)
+    counting = _CountingProfile(ZonalVelocityProfile(f, band))
+    res = mc_bump_formula(counting, PlateauProfile(band.r_b, 0.3), band)
+    # the three smooth pieces and their halves go out in one call
+    assert counting.sizes == [res.n_nodes]
+    rows = res.samples
+    assert counting.sizes[1:] == [401]
+    assert rows.shape == (401, 2)
+    # a second read reuses the table
+    assert res.samples is rows
+    assert counting.sizes[1:] == [401]
 
 
 def _even_vanishing_stream(r_b, coefficients):

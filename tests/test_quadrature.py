@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from bandflow import PlateauProfile
 from bandflow.errors import QuadratureFailure
 from bandflow.quadrature import IntegralResult, adaptive_gauss_legendre
 
@@ -55,3 +57,48 @@ def test_discontinuity_exhausts_panel_budget():
 
     with pytest.raises(QuadratureFailure):
         adaptive_gauss_legendre(step, 0.0, 1.0, rel_tol=1e-12, max_panels=8)
+
+
+def test_one_integrand_call_per_refinement_round():
+    calls = []
+
+    def counting(x):
+        calls.append(np.array(x))
+        return np.sin(7.0 * x)
+
+    n, k = 8, 2
+    res = adaptive_gauss_legendre(
+        counting, 0.0, 10.0, rel_tol=1e-10, nodes_per_panel=n, initial_panels=k
+    )
+    assert len(calls) >= 3
+    assert sum(c.size for c in calls) == res.n_evals
+    # round 0: every initial panel and both of its halves
+    assert calls[0].size == 3 * k * n
+    x = np.polynomial.legendre.leggauss(n)[0]
+    for level, nodes in enumerate(calls[1:], start=2):
+        # each later round holds the halves of one bisection level, nothing else
+        assert nodes.size % (4 * n) == 0
+        panels = nodes.reshape(-1, n)
+        widths = 2.0 * (panels[:, -1] - panels[:, 0]) / (x[-1] - x[0])
+        np.testing.assert_allclose(widths, 10.0 / (k * 2**level), rtol=1e-9)
+
+
+def test_points_outside_the_interval_are_ignored():
+    plain = adaptive_gauss_legendre(np.exp, -1.0, 2.0)
+    ignored = adaptive_gauss_legendre(np.exp, -1.0, 2.0, points=(-5.0, -1.0, 2.0, 20.0))
+    assert ignored == plain
+
+
+def test_points_at_plateau_joins_save_evaluations():
+    h = PlateauProfile(1.0, 0.3)
+
+    def bump(x):
+        return np.asarray(h.d1(x)) ** 2 * np.cos(3.0 * x) + np.asarray(h.value(x)) ** 2
+
+    ref, _ = quad(bump, -1.2, 1.2, points=h.joins, epsabs=0.0, epsrel=1e-13, limit=200)
+    split = adaptive_gauss_legendre(bump, -1.2, 1.2, rel_tol=1e-12, points=h.joins)
+    blind = adaptive_gauss_legendre(bump, -1.2, 1.2, rel_tol=1e-12)
+    # a few ulps of slack for the reference's own rounding
+    assert abs(split.value - ref) <= split.error + 1e-14 * abs(ref)
+    assert abs(blind.value - ref) <= blind.error + 1e-14 * abs(ref)
+    assert split.n_evals < blind.n_evals
