@@ -25,6 +25,7 @@ from .quadrature import adaptive_gauss_legendre
 __all__ = [
     "FIELD_COLUMNS",
     "HodgeCoefficients",
+    "SeparableField",
     "StreamFunction",
     "VectorField",
     "ZonalField",
@@ -234,20 +235,14 @@ def fprime_ratio(psi: StreamFunction, r) -> float | np.ndarray:
     return _unbatched(omega_dot / d1, scalar)
 
 
-# 6th-order centered stencils used by the fallback derivatives
-_D1_WEIGHTS = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_D2_WEIGHTS = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
-_OFFSETS = np.arange(-3, 4)
-
-
 class VectorField(ABC):
     """Vector field u1 partial_r + u2 partial_theta on the band.
 
-    Subclasses must provide the components; the derivative methods fall
-    back to 6th-order finite differences (periodic in theta, stencil
-    shifted inward near the radial boundary), and concrete fields shipped
-    here override them with exact expressions.  Components must accept
-    broadcastable (r, theta) arrays.
+    Subclasses provide the two components and all five derivatives the
+    curvature routes read, each exact; there is no numerical fallback.
+    Fields of the form radial(r) x trig(m theta) get all seven from one
+    radial method by deriving from SeparableField.  Every method accepts
+    broadcastable (r, theta) arrays and returns their broadcast shape.
     """
 
     def __init__(self, curve: ProfileCurve):
@@ -259,49 +254,20 @@ class VectorField(ABC):
     @abstractmethod
     def u2(self, r, theta) -> np.ndarray: ...
 
-    def _theta_stencil(self, component, r, theta, weights, power: int) -> np.ndarray:
-        d = 1e-2
-        r_b, th_b = np.broadcast_arrays(
-            np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
-        )
-        acc = np.zeros_like(r_b, dtype=float)
-        for k, w in zip(_OFFSETS, weights):
-            if w != 0.0:
-                acc = acc + w * np.asarray(component(r_b, th_b + k * d), dtype=float)
-        return acc / d**power
+    @abstractmethod
+    def du1_dr(self, r, theta) -> np.ndarray: ...
 
-    def du1_dtheta(self, r, theta) -> np.ndarray:
-        return self._theta_stencil(self.u1, r, theta, _D1_WEIGHTS, 1)
+    @abstractmethod
+    def du1_dtheta(self, r, theta) -> np.ndarray: ...
 
-    def d2u1_dtheta2(self, r, theta) -> np.ndarray:
-        return self._theta_stencil(self.u1, r, theta, _D2_WEIGHTS, 2)
+    @abstractmethod
+    def d2u1_dtheta2(self, r, theta) -> np.ndarray: ...
 
-    def du2_dtheta(self, r, theta) -> np.ndarray:
-        return self._theta_stencil(self.u2, r, theta, _D1_WEIGHTS, 1)
+    @abstractmethod
+    def du2_dtheta(self, r, theta) -> np.ndarray: ...
 
-    def d2u2_dtheta2(self, r, theta) -> np.ndarray:
-        return self._theta_stencil(self.u2, r, theta, _D2_WEIGHTS, 2)
-
-    def du1_dr(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(
-            np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
-        )
-        bound = self.curve.r_b
-        d = min(1e-2, bound / 4.0)
-        flat_r = np.ravel(r_b)
-        flat_t = np.ravel(th_b)
-        out = np.empty_like(flat_r)
-        for i, (ri, ti) in enumerate(zip(flat_r, flat_t)):
-            center = min(max(ri, -bound + 3.0 * d), bound - 3.0 * d)
-            nodes = center + _OFFSETS * d
-            xi = (nodes - ri) / d
-            vander = np.vander(xi, 7, increasing=True).T
-            rhs = np.zeros(7)
-            rhs[1] = 1.0
-            weights = np.linalg.solve(vander, rhs) / d
-            samples = np.asarray(self.u1(nodes, np.full(7, ti)), dtype=float)
-            out[i] = float(np.dot(weights, samples))
-        return out.reshape(r_b.shape)
+    @abstractmethod
+    def d2u2_dtheta2(self, r, theta) -> np.ndarray: ...
 
     def is_boundary_tangent(self, *, tol: float = 1e-10, n_theta: int = 64) -> bool:
         """Whether u1 vanishes on both boundary circles (sampled)."""
@@ -311,6 +277,60 @@ class VectorField(ABC):
             np.max(np.abs(self.u1(edge[:, None], thetas[None, :])))
         )
         return worst <= tol
+
+
+class SeparableField(VectorField):
+    """Field u1 = P(r) sin(m theta + phase), u2 = Q(r) cos(m theta + phase).
+
+    Subclasses supply radial(r) -> (P, P', Q); the components and their
+    derivatives follow from these three factors and the harmonic m.  The
+    factors are evaluated on r in the shape it arrives in and meet theta
+    only in the final product, so a column of n radii against a row of
+    angles costs n radial evaluations, not one per (r, theta) cell.
+    """
+
+    def __init__(self, curve: ProfileCurve, *, harmonic: int = 1, phase: float = 0.0):
+        super().__init__(curve)
+        self.harmonic = int(harmonic)
+        self.phase = float(phase)
+
+    @abstractmethod
+    def radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factors P, P' and Q at r."""
+
+    def _factors(self, r, theta):
+        r = np.asarray(r, dtype=float)
+        p, dp, q = (np.reshape(x, r.shape) for x in self.radial(r))
+        angle = self.harmonic * np.asarray(theta, dtype=float) + self.phase
+        return p, dp, q, angle
+
+    def u1(self, r, theta) -> np.ndarray:
+        p, _, _, angle = self._factors(r, theta)
+        return p * np.sin(angle)
+
+    def u2(self, r, theta) -> np.ndarray:
+        _, _, q, angle = self._factors(r, theta)
+        return q * np.cos(angle)
+
+    def du1_dr(self, r, theta) -> np.ndarray:
+        _, dp, _, angle = self._factors(r, theta)
+        return dp * np.sin(angle)
+
+    def du1_dtheta(self, r, theta) -> np.ndarray:
+        p, _, _, angle = self._factors(r, theta)
+        return self.harmonic * p * np.cos(angle)
+
+    def d2u1_dtheta2(self, r, theta) -> np.ndarray:
+        p, _, _, angle = self._factors(r, theta)
+        return -self.harmonic**2 * p * np.sin(angle)
+
+    def du2_dtheta(self, r, theta) -> np.ndarray:
+        _, _, q, angle = self._factors(r, theta)
+        return -self.harmonic * q * np.sin(angle)
+
+    def d2u2_dtheta2(self, r, theta) -> np.ndarray:
+        _, _, q, angle = self._factors(r, theta)
+        return -self.harmonic**2 * q * np.cos(angle)
 
 
 def divergence(field: VectorField, r, theta) -> np.ndarray:
@@ -387,42 +407,16 @@ class ZonalVelocityProfile(RadialProfile):
         return {"family": "zonal-velocity", "f": self.f.describe()}
 
 
-class ZonalField(VectorField):
-    """Purely rotational field coefficient(r) partial_theta."""
+class ZonalField(SeparableField):
+    """Purely rotational field coefficient(r) partial_theta: harmonic 0, P = 0."""
 
     def __init__(self, curve: ProfileCurve, coefficient: RadialProfile):
-        super().__init__(curve)
+        super().__init__(curve, harmonic=0)
         self.coefficient = coefficient
 
-    def u1(self, r, theta) -> np.ndarray:
-        r_b, _ = np.broadcast_arrays(
-            np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
-        )
-        return np.zeros_like(r_b)
-
-    def u2(self, r, theta) -> np.ndarray:
-        r_b, _ = np.broadcast_arrays(
-            np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
-        )
-        vals = np.atleast_1d(
-            np.asarray(self.coefficient.value(np.ravel(r_b)), dtype=float)
-        )
-        return vals.reshape(r_b.shape)
-
-    def du1_dr(self, r, theta) -> np.ndarray:
-        return self.u1(r, theta)
-
-    def du1_dtheta(self, r, theta) -> np.ndarray:
-        return self.u1(r, theta)
-
-    def d2u1_dtheta2(self, r, theta) -> np.ndarray:
-        return self.u1(r, theta)
-
-    def du2_dtheta(self, r, theta) -> np.ndarray:
-        return self.u1(r, theta)
-
-    def d2u2_dtheta2(self, r, theta) -> np.ndarray:
-        return self.u1(r, theta)
+    def radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        zero = np.zeros_like(r)
+        return zero, zero, np.asarray(self.coefficient.value(r), dtype=float)
 
 
 def zonal_from_f(f: RadialProfile, curve: ProfileCurve) -> ZonalField:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import BoundaryViolation, TangencyViolation
-from .fields import VectorField, ZonalField, divergence
+from .fields import SeparableField, VectorField, ZonalField, divergence
 from .geometry import ProfileCurve
 from .profiles import RadialProfile
 from .quadrature import adaptive_gauss_legendre
@@ -97,7 +97,7 @@ def _check_bump(h: RadialProfile, curve: ProfileCurve) -> None:
         )
 
 
-class BumpField(VectorField):
+class BumpField(SeparableField):
     """The divergence-free perturbation generated by a radial bump h.
 
     Components are h sin(theta) radially and (h' + h dc1/c1) cos(theta)
@@ -110,42 +110,11 @@ class BumpField(VectorField):
         _check_bump(h, curve)
         self.h = h
 
-    def _angular_coeff(self, r: np.ndarray) -> np.ndarray:
-        fr = self.curve.frame(np.ravel(r))
-        hv = np.asarray(self.h.value(np.ravel(r)), dtype=float)
-        hd = np.asarray(self.h.d1(np.ravel(r)), dtype=float)
-        return (hd + hv * fr.dc1 / fr.c1).reshape(np.shape(r))
-
-    def _bump(self, r: np.ndarray) -> np.ndarray:
-        return np.asarray(self.h.value(r), dtype=float)
-
-    def u1(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        return self._bump(r_b) * np.sin(th_b)
-
-    def u2(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        return self._angular_coeff(r_b) * np.cos(th_b)
-
-    def du1_dr(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        return np.asarray(self.h.d1(r_b), dtype=float) * np.sin(th_b)
-
-    def du1_dtheta(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        return self._bump(r_b) * np.cos(th_b)
-
-    def d2u1_dtheta2(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        return -self._bump(r_b) * np.sin(th_b)
-
-    def du2_dtheta(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        return -self._angular_coeff(r_b) * np.sin(th_b)
-
-    def d2u2_dtheta2(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        return -self._angular_coeff(r_b) * np.cos(th_b)
+    def radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        fr = self.curve.frame(r)
+        hv = np.asarray(self.h.value(r), dtype=float)
+        hd = np.asarray(self.h.d1(r), dtype=float)
+        return hv, hd, hd + hv * fr.dc1 / fr.c1
 
 
 def bump_field(h: RadialProfile, curve: ProfileCurve) -> BumpField:
@@ -153,7 +122,7 @@ def bump_field(h: RadialProfile, curve: ProfileCurve) -> BumpField:
     return BumpField(curve, h)
 
 
-class StreamPotentialField(VectorField):
+class StreamPotentialField(SeparableField):
     """star grad of the separable potential g(r) cos(m theta + phase).
 
     Divergence-free by construction; tangency needs g to vanish at the
@@ -169,7 +138,6 @@ class StreamPotentialField(VectorField):
         harmonic: int = 1,
         phase: float = 0.0,
     ):
-        super().__init__(curve)
         if harmonic < 0:
             raise ValueError(f"harmonic index must be nonnegative, got {harmonic}")
         if harmonic >= 1:
@@ -181,58 +149,19 @@ class StreamPotentialField(VectorField):
                     f"potential reaches {edge:.3e} at the boundary; the field "
                     f"would cross the boundary circles"
                 )
+        super().__init__(curve, harmonic=harmonic, phase=phase)
         self.g = g
-        self.harmonic = int(harmonic)
-        self.phase = float(phase)
 
-    def _angle(self, theta: np.ndarray) -> np.ndarray:
-        return self.harmonic * theta + self.phase
-
-    def u1(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        c1 = self.curve.frame(np.ravel(r_b)).c1.reshape(r_b.shape)
-        gv = np.asarray(self.g.value(r_b), dtype=float)
-        return -self.harmonic * gv * np.sin(self._angle(th_b)) / c1
-
-    def u2(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        c1 = self.curve.frame(np.ravel(r_b)).c1.reshape(r_b.shape)
-        gd = np.asarray(self.g.d1(r_b), dtype=float)
-        return -gd * np.cos(self._angle(th_b)) / c1
-
-    def du1_dr(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        fr = self.curve.frame(np.ravel(r_b))
-        c1 = fr.c1.reshape(r_b.shape)
-        dc1 = fr.dc1.reshape(r_b.shape)
-        gv = np.asarray(self.g.value(r_b), dtype=float)
-        gd = np.asarray(self.g.d1(r_b), dtype=float)
-        radial = (gd * c1 - gv * dc1) / c1**2
-        return -self.harmonic * radial * np.sin(self._angle(th_b))
-
-    def du1_dtheta(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        c1 = self.curve.frame(np.ravel(r_b)).c1.reshape(r_b.shape)
-        gv = np.asarray(self.g.value(r_b), dtype=float)
-        return -self.harmonic**2 * gv * np.cos(self._angle(th_b)) / c1
-
-    def d2u1_dtheta2(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        c1 = self.curve.frame(np.ravel(r_b)).c1.reshape(r_b.shape)
-        gv = np.asarray(self.g.value(r_b), dtype=float)
-        return self.harmonic**3 * gv * np.sin(self._angle(th_b)) / c1
-
-    def du2_dtheta(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        c1 = self.curve.frame(np.ravel(r_b)).c1.reshape(r_b.shape)
-        gd = np.asarray(self.g.d1(r_b), dtype=float)
-        return self.harmonic * gd * np.sin(self._angle(th_b)) / c1
-
-    def d2u2_dtheta2(self, r, theta) -> np.ndarray:
-        r_b, th_b = np.broadcast_arrays(np.asarray(r, float), np.asarray(theta, float))
-        c1 = self.curve.frame(np.ravel(r_b)).c1.reshape(r_b.shape)
-        gd = np.asarray(self.g.d1(r_b), dtype=float)
-        return self.harmonic**2 * gd * np.cos(self._angle(th_b)) / c1
+    def radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        fr = self.curve.frame(r)
+        gv = np.asarray(self.g.value(r), dtype=float)
+        gd = np.asarray(self.g.d1(r), dtype=float)
+        m = self.harmonic
+        return (
+            -m * gv / fr.c1,
+            -m * (gd * fr.c1 - gv * fr.dc1) / fr.c1**2,
+            -gd / fr.c1,
+        )
 
 
 def field_from_stream(

@@ -248,10 +248,12 @@ def _optimize_bump(
 ) -> tuple[float, float, float]:
     """Best descent width for the plateau bump, by coarse grid + line search."""
     widths = np.linspace(config.w_lo, config.w_hi, config.w_count)
+    results: dict[float, MCResult] = {}
 
     def mc_at(w: float) -> float:
         h = PlateauProfile(curve.r_b, w)
-        return mc_bump_formula(F, h, curve, rel_tol=config.mc_rel_tol).value
+        results[w] = mc_bump_formula(F, h, curve, rel_tol=config.mc_rel_tol)
+        return results[w].value
 
     coarse = [mc_at(w) for w in widths]
     k = int(np.argmax(coarse))
@@ -260,10 +262,7 @@ def _optimize_bump(
     best_w, best_val = _golden_max(mc_at, float(lo), float(hi), config.w_tol)
     if coarse[k] >= best_val:
         best_w, best_val = float(widths[k]), float(coarse[k])
-    err = mc_bump_formula(
-        F, PlateauProfile(curve.r_b, best_w), curve, rel_tol=config.mc_rel_tol
-    ).error_estimate
-    return float(best_w), float(best_val), float(err)
+    return float(best_w), float(best_val), float(results[best_w].error_estimate)
 
 
 def _evaluate_candidate(

@@ -117,13 +117,18 @@ def test_zonal_field_is_divergence_free(band, rng):
 
 
 class _RadialSpray(VectorField):
-    """u = r d/dr, angular component zero; exercises the fallback stencils."""
+    """u = r d/dr, angular component zero, with its exact derivatives."""
 
     def u1(self, r, theta):
-        return np.broadcast_to(np.asarray(r, dtype=float), np.broadcast_shapes(np.shape(r), np.shape(theta))).copy()
+        return np.asarray(r, dtype=float) + self._zero(r, theta)
 
-    def u2(self, r, theta):
+    def du1_dr(self, r, theta):
+        return 1.0 + self._zero(r, theta)
+
+    def _zero(self, r, theta):
         return np.zeros(np.broadcast_shapes(np.shape(r), np.shape(theta)))
+
+    u2 = du1_dtheta = d2u1_dtheta2 = du2_dtheta = d2u2_dtheta2 = _zero
 
 
 def test_divergence_of_radial_spray_on_sphere(sphere):

@@ -17,6 +17,7 @@ from bandflow import (
     PlateauProfile,
     PolynomialProfile,
     RadialProfile,
+    SeparableField,
     StreamPotentialField,
     TangencyViolation,
     VectorField,
@@ -132,12 +133,14 @@ class _CountingProfile(RadialProfile):
     def __init__(self, inner):
         self.inner = inner
         self.sizes = []
+        self.derivative_sizes = []
 
     def value(self, r):
         self.sizes.append(np.size(r))
         return self.inner.value(r)
 
     def d1(self, r):
+        self.derivative_sizes.append(np.size(r))
         return self.inner.d1(r)
 
     def d2(self, r):
@@ -193,18 +196,85 @@ def test_higher_harmonic_cross_check(band):
     assert abs(reduced.value - direct.value) <= _tolerance(reduced.value)
 
 
+def test_radial_work_does_not_grow_with_angular_nodes(band):
+    f = CurvePowerProfile(band, 6.0, 1e-3)
+
+    def radial_points(n_theta):
+        h = _CountingProfile(PlateauProfile(band.r_b, 0.3))
+        g = _CountingProfile(_even_vanishing_stream(band.r_b, (1.0, -0.4)))
+        nodes = []
+        for W in (bump_field(h, band), field_from_stream(g, band, harmonic=2, phase=0.7)):
+            for res in (
+                mc_reduced(ZonalVelocityProfile(f, band), W, n_theta=n_theta),
+                mc_direct(zonal_from_f(f, band), W, n_theta=n_theta),
+            ):
+                nodes.append(res.n_nodes // n_theta)
+        counts = [sum(p.sizes) + sum(p.derivative_sizes) for p in (h, g)]
+        return counts, nodes
+
+    coarse, coarse_nodes = radial_points(64)
+    fine, fine_nodes = radial_points(256)
+    # the same radial nodes, so the same radial work, whatever n_theta is
+    assert coarse_nodes == fine_nodes
+    assert coarse == fine
+    assert min(coarse) > 0
+
+
+def _probe_grids(r_b, n=5, m=4):
+    r = np.linspace(-0.9 * r_b, 0.9 * r_b, n)
+    theta = np.linspace(-3.0, 3.0, m)
+    rr, tt = np.broadcast_arrays(r[:, None], theta[None, :])
+    return [(r[:, None], theta[None, :]), (rr, tt), (r, 0.4), (0.3 * r_b, -1.1)]
+
+
+@pytest.mark.parametrize("harmonic", [0, 1, 2, 3])
+def test_separable_components_match_closed_forms(band, harmonic):
+    g = _even_vanishing_stream(band.r_b, (1.0, -0.4))
+    phase = 0.37
+    W = field_from_stream(g, band, harmonic=harmonic, phase=phase)
+    assert isinstance(W, SeparableField)
+    m = harmonic
+    for r, theta in _probe_grids(band.r_b):
+        c1 = np.asarray(band.c1(r))
+        dc1 = np.asarray(band.dc1(r))
+        gv = np.asarray(g.value(r))
+        gd = np.asarray(g.d1(r))
+        s = np.sin(m * np.asarray(theta) + phase)
+        c = np.cos(m * np.asarray(theta) + phase)
+        expected = {
+            "u1": -m * gv * s / c1,
+            "u2": -gd * c / c1,
+            "du1_dr": -m * (gd * c1 - gv * dc1) / c1**2 * s,
+            "du1_dtheta": -(m**2) * gv * c / c1,
+            "d2u1_dtheta2": m**3 * gv * s / c1,
+            "du2_dtheta": m * gd * s / c1,
+            "d2u2_dtheta2": m**2 * gd * c / c1,
+        }
+        shape = np.broadcast_shapes(np.shape(r), np.shape(theta))
+        for name, want in expected.items():
+            got = getattr(W, name)(r, theta)
+            assert np.shape(got) == shape, (name, np.shape(r), np.shape(theta))
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-15), name
+
+
 def test_stream_field_requires_boundary_tangency(band):
     with pytest.raises(TangencyViolation):
         field_from_stream(ConstantProfile(1.0), band, harmonic=1)
 
 
 class _Compressible(VectorField):
-    def u1(self, r, theta):
-        shape = np.broadcast_shapes(np.shape(r), np.shape(theta))
-        return np.broadcast_to(np.cos(np.asarray(r, dtype=float)), shape).copy()
+    """u = cos(r) d/dr, with its exact derivatives."""
 
-    def u2(self, r, theta):
+    def u1(self, r, theta):
+        return np.cos(np.asarray(r, dtype=float)) + self._zero(r, theta)
+
+    def du1_dr(self, r, theta):
+        return -np.sin(np.asarray(r, dtype=float)) + self._zero(r, theta)
+
+    def _zero(self, r, theta):
         return np.zeros(np.broadcast_shapes(np.shape(r), np.shape(theta)))
+
+    u2 = du1_dtheta = d2u1_dtheta2 = du2_dtheta = d2u2_dtheta2 = _zero
 
 
 def test_reduced_route_rejects_bad_fields(band):

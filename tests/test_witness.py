@@ -4,10 +4,14 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+import bandflow.witness as witness
 from bandflow import (
     SWEEP_COLUMNS,
+    CurvePowerProfile,
+    PlateauProfile,
     SurfaceSpec,
     WitnessSearchConfig,
+    ZonalVelocityProfile,
     canonical_json,
     find_witness,
     jsonify,
@@ -95,3 +99,32 @@ def test_sweep_summary_columns():
     assert summary["verdict"] == "not-found"
     assert summary["a"] == 2.0 and summary["b"] == 0.5
     assert math.isfinite(summary["lambda1"])
+
+
+def test_bump_search_evaluates_each_width_once(band, monkeypatch):
+    formula_calls = []
+    golden_calls = []
+    formula = witness.mc_bump_formula
+    golden = witness._golden_max
+
+    def counting_formula(*args, **kwargs):
+        formula_calls.append(args[1])
+        return formula(*args, **kwargs)
+
+    def counting_golden(fn, *args):
+        def probe(w):
+            golden_calls.append(w)
+            return fn(w)
+
+        return golden(probe, *args)
+
+    monkeypatch.setattr(witness, "mc_bump_formula", counting_formula)
+    monkeypatch.setattr(witness, "_golden_max", counting_golden)
+    big_f = ZonalVelocityProfile(CurvePowerProfile(band, 6.0, 1e-3), band)
+    config = WitnessSearchConfig()
+    best_w, best_mc, err = witness._optimize_bump(big_f, band, config)
+    assert golden_calls
+    assert len(formula_calls) == config.w_count + len(golden_calls)
+    # the error bar is the one computed during the search at best_w
+    again = formula(big_f, PlateauProfile(band.r_b, best_w), band, rel_tol=config.mc_rel_tol)
+    assert (again.value, again.error_estimate) == (best_mc, err)
