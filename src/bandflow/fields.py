@@ -74,7 +74,7 @@ class HodgeCoefficients:
 def hodge_star(curve: ProfileCurve, r) -> HodgeCoefficients:
     """Hodge star coefficients at r; star of star is minus the identity."""
     arr, scalar = _batched(r)
-    c1 = curve.frame(arr).c1
+    c1 = curve.c1(arr)
     return HodgeCoefficients(
         on_dr=_unbatched(-1.0 / c1, scalar),
         on_dtheta=_unbatched(c1.copy(), scalar),
@@ -144,7 +144,7 @@ class StreamFunction(RadialProfile):
         arr, scalar = _batched(r)
 
         def integrand(x: np.ndarray) -> np.ndarray:
-            return np.asarray(self.f.value(x), dtype=float) / self.curve.frame(x).c1
+            return np.asarray(self.f.value(x), dtype=float) / self.curve.c1(x)
 
         out = np.empty_like(arr)
         for i, radius in enumerate(arr):
@@ -373,7 +373,7 @@ class ZonalVelocityProfile(RadialProfile):
 
     def value(self, r):
         arr, scalar = _batched(r)
-        u = self._chain(arr)[0]
+        u = self.curve.c1(arr) ** -2.0
         fv = np.atleast_1d(np.asarray(self.f.value(arr), dtype=float))
         return _unbatched(-fv * u, scalar)
 

@@ -208,6 +208,17 @@ class ProfileCurve:
         return _match_shape(fr.dc1 / fr.c1, r)
 
 
+def meridian_slopes(c1: float, c2: float, a2: float, a4: float) -> tuple[float, float]:
+    """Right-hand side (dc1, dc2) = (-a^2 c2, c1) / S of the profile system.
+
+    Scalar floats in, scalar floats out; a2 and a4 are a^2 and a^4.  Every
+    integration that carries the meridian (the profile solve and the
+    Helmholtz build) calls this one copy.
+    """
+    s = math.sqrt(c1 * c1 + a4 * c2 * c2)
+    return -a2 * c2 / s, c1 / s
+
+
 def solve_profile(
     spec: SurfaceSpec,
     *,
@@ -229,10 +240,9 @@ def solve_profile(
     a, b = spec.a, spec.b
     a2, a4 = a * a, a**4
 
-    def rhs(_r: float, y: np.ndarray) -> list[float]:
-        c1, c2 = y
-        s = math.sqrt(c1 * c1 + a4 * c2 * c2)
-        return [-a2 * c2 / s, c1 / s]
+    def rhs(_r: float, y: np.ndarray) -> tuple[float, float]:
+        c1, c2 = y.tolist()
+        return meridian_slopes(c1, c2, a2, a4)
 
     def reach_height(_r: float, y: np.ndarray) -> float:
         return y[1] - b

@@ -368,12 +368,12 @@ def optimal_bump_ratio(F: RadialProfile, curve: ProfileCurve, n: int = 4000) -> 
     r = np.linspace(-r_b, r_b, n + 1)
     step = r[1] - r[0]
     mid = 0.5 * (r[:-1] + r[1:])
-    fm = curve.frame(mid)
+    c1_mid = curve.c1(mid)
     fi = curve.frame(r[1:-1])
     big_f_mid = np.asarray(F.value(mid), dtype=float)
     big_f_int = np.asarray(F.value(r[1:-1]), dtype=float)
     eps_sq = fi.dc1**2 - fi.c1 * fi.ddc1 - 1.0
-    penalty = big_f_mid**2 * fm.c1**3
+    penalty = big_f_mid**2 * c1_mid**3
     gain = big_f_int**2 * fi.c1 * np.maximum(eps_sq, 0.0)
     peak = float(np.max(gain))
     if peak <= 1e-12 * float(np.max(penalty)):
@@ -386,7 +386,8 @@ def optimal_bump_ratio(F: RadialProfile, curve: ProfileCurve, n: int = 4000) -> 
     vals = eigh_tridiagonal(
         diag * scale * scale,
         off * scale[:-1] * scale[1:],
+        eigvals_only=True,
         select="i",
         select_range=(0, 0),
-    )[0]
+    )
     return float(vals[0])

@@ -17,7 +17,8 @@ from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
-from .geometry import ProfileCurve
+from .errors import ConvergenceFailure
+from .geometry import ProfileCurve, meridian_slopes
 
 __all__ = [
     "ConstantProfile",
@@ -191,7 +192,7 @@ class CurvePowerProfile(RadialProfile):
 
     def value(self, r):
         arr, scalar = _batch(r)
-        u = self._parts(arr)[0]
+        u = self.curve.c1(arr) / self.curve.spec.a
         return _unbatch(self.delta + (1.0 - self.delta) * u**self.p, scalar)
 
     def d1(self, r):
@@ -313,31 +314,46 @@ class HelmholtzProfile(RadialProfile):
     A negative rate selects the growing branch with slope +|rate|.
     Second and third derivatives come from the equation itself, so only f
     and f' are interpolated.
+
+    f and f' are integrated jointly with the meridian system, state
+    (c1, c2, f, f'), so that the weight dc1/c1 comes from the state in
+    plain float arithmetic; reading it from the curve instead would cost
+    a spline evaluation and the derivative chain at every solver stage,
+    some twenty times the equation itself.  The curve is consulted once,
+    on the node grid.  Raises ConvergenceFailure when the integrator
+    stops short of the band edge (a rate too large to resolve).
     """
 
     def __init__(self, curve: ProfileCurve, rate: float, *, step: float = 5e-4):
         if not math.isfinite(rate) or rate == 0.0:
             raise ValueError(f"rate must be finite and nonzero, got {rate}")
         self.curve = curve
-        self.rate = float(rate)
+        self.rate = rate = float(rate)
+        a2 = curve.spec.a ** 2
+        a4 = a2 * a2
 
-        def rhs(r: float, y: np.ndarray) -> list[float]:
-            fr = curve.frame(r)
-            slope = float(fr.dc1[0] / fr.c1[0])
-            return [y[1], slope * y[1] - self.rate * y[0]]
+        def rhs(_r: float, y: np.ndarray) -> list[float]:
+            c1, c2, f, df = y.tolist()
+            dc1, dc2 = meridian_slopes(c1, c2, a2, a4)
+            return [dc1, dc2, df, (dc1 / c1) * df - rate * f]
 
         sol = solve_ivp(
             rhs,
             (0.0, curve.r_b),
-            [1.0, 0.0],
+            [curve.spec.a, 0.0, 1.0, 0.0],
             method="DOP853",
             rtol=1e-12,
             atol=1e-14,
             dense_output=True,
         )
+        if sol.status != 0:
+            raise ConvergenceFailure(
+                f"Helmholtz integration at rate {self.rate:.6g} stopped at "
+                f"r={sol.t[-1]:.6g} of {curve.r_b:.6g}: {sol.message}"
+            )
         n = max(1001, math.ceil(curve.r_b / step) + 1)
         radii = np.linspace(0.0, curve.r_b, n)
-        f_nodes, df_nodes = sol.sol(radii)
+        f_nodes, df_nodes = sol.sol(radii)[2:]
         fr = curve.frame(radii)
         ddf_nodes = (fr.dc1 / fr.c1) * df_nodes - self.rate * f_nodes
         self._f = CubicHermiteSpline(radii, f_nodes, df_nodes)

@@ -127,8 +127,8 @@ def _sl_smallest(curve: ProfileCurve, m: int, n: int) -> float:
     h = 2.0 * r_b / n
     nodes = np.linspace(-r_b, r_b, n + 1)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    c_mid = curve.frame(mids).c1
-    c_int = curve.frame(nodes[1:-1]).c1
+    c_mid = curve.c1(mids)
+    c_int = curve.c1(nodes[1:-1])
     diag = (c_mid[:-1] + c_mid[1:]) / h**2 + (m * m) / c_int
     off = -c_mid[1:-1] / h**2
     scale = np.sqrt(c_int)
@@ -136,8 +136,8 @@ def _sl_smallest(curve: ProfileCurve, m: int, n: int) -> float:
     sym_off = off / (scale[:-1] * scale[1:])
     try:
         vals = eigh_tridiagonal(
-            sym_diag, sym_off, select="i", select_range=(0, 0)
-        )[0]
+            sym_diag, sym_off, eigvals_only=True, select="i", select_range=(0, 0)
+        )
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(f"tridiagonal eigensolve failed: {exc}") from exc
     smallest = float(vals[0])
@@ -256,7 +256,7 @@ def profile_conditions(
     half = np.linspace(0.0, curve.r_b, n)
     right = np.asarray(f.value(half), dtype=float)
     left = np.asarray(f.value(-half), dtype=float)
-    c1 = curve.frame(half).c1
+    c1 = curve.c1(half)
 
     positive = bool(np.min(right) > 0.0 and np.min(left) > 0.0)
     even = bool(np.max(np.abs(right - left)) <= _PARITY_TOL)

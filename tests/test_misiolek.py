@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from bandflow import (
     ConstantProfile,
@@ -313,6 +314,36 @@ def test_sphere_curvature_never_positive(sphere):
         assert value <= 1e-10
         assert value < 0.0
     assert optimal_bump_ratio(big_f, sphere) == math.inf
+
+
+@pytest.mark.parametrize("family", ["power", "helmholtz"])
+def test_optimal_bump_ratio_matches_a_dense_pencil(band, family):
+    from bandflow import HelmholtzProfile, lambda1
+
+    if family == "power":
+        f = CurvePowerProfile(band, 4.0, 0.05)
+    else:
+        f = HelmholtzProfile(band, 0.9 * lambda1(band).value)
+    big_f = ZonalVelocityProfile(f, band)
+    n = 64
+    # penalty F^2 c1^3 between nodes, gain F^2 c1 eps^2 at interior nodes
+    r = np.linspace(-band.r_b, band.r_b, n + 1)
+    h = r[1] - r[0]
+    mid = 0.5 * (r[:-1] + r[1:])
+    inner = r[1:-1]
+    penalty = np.asarray(big_f.value(mid)) ** 2 * np.asarray(band.c1(mid)) ** 3
+    c1 = np.asarray(band.c1(inner))
+    eps_sq = np.asarray(band.dc1(inner)) ** 2 - c1 * np.asarray(band.ddc1(inner)) - 1.0
+    gain = np.asarray(big_f.value(inner)) ** 2 * c1 * eps_sq
+    # the package floors the gain at 1e-14 of its peak; not active here
+    assert np.min(gain) > 1e-14 * np.max(gain)
+    stiffness = (
+        np.diag((penalty[:-1] + penalty[1:]) / h**2)
+        - np.diag(penalty[1:-1] / h**2, 1)
+        - np.diag(penalty[1:-1] / h**2, -1)
+    )
+    smallest = float(eigh(stiffness, np.diag(gain), eigvals_only=True)[0])
+    assert math.isclose(optimal_bump_ratio(big_f, band, n=n), smallest, rel_tol=1e-10)
 
 
 def test_optimal_bump_ratio_explains_failures(band):

@@ -3,14 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from bandflow import (
     ConstantProfile,
+    ConvergenceFailure,
     CurvePowerProfile,
     GaussianProfile,
     HelmholtzProfile,
     PlateauProfile,
     PolynomialProfile,
+    ProfileCurve,
+    SurfaceSpec,
+    lambda1,
+    solve_profile,
 )
 
 
@@ -83,6 +89,66 @@ def test_helmholtz_construction(band, rng):
     )
     assert np.max(np.abs(residual)) <= 1e-10
     _check_derivatives(f, r)
+
+
+def test_helmholtz_build_reads_the_frame_once(band, monkeypatch):
+    # the solver stages take dc1/c1 from the integrated meridian; only the
+    # node grid goes through the curve
+    calls = []
+    frame = ProfileCurve.frame
+
+    def counting(self, r):
+        calls.append(r)
+        return frame(self, r)
+
+    monkeypatch.setattr(ProfileCurve, "frame", counting)
+    HelmholtzProfile(band, 2.0)
+    assert len(calls) <= 1
+
+
+def _helmholtz_through_the_frame(curve, rate, radii):
+    # independent route: read dc1/c1 from the curve at every solver stage
+    # and take f, f' from the dense output instead of Hermite nodes
+    def rhs(r, y):
+        fr = curve.frame(r)
+        return [y[1], float(fr.dc1[0] / fr.c1[0]) * y[1] - rate * y[0]]
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, curve.r_b),
+        [1.0, 0.0],
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-14,
+        dense_output=True,
+    )
+    f, df = sol.sol(np.abs(radii))
+    df = np.sign(radii) * df
+    fr = curve.frame(radii)
+    slope = fr.dc1 / fr.c1
+    ddf = slope * df - rate * f
+    dddf = (fr.ddc1 / fr.c1 - slope * slope) * df + slope * ddf - rate * df
+    return f, df, ddf, dddf
+
+
+@pytest.mark.parametrize("a", [1.5, 3.0, 12.0])
+@pytest.mark.parametrize("b", [0.1, 0.5, 0.98])
+def test_helmholtz_matches_an_integration_through_the_frame(a, b):
+    curve = solve_profile(SurfaceSpec(a, b))
+    lam = lambda1(curve).value
+    radii = np.linspace(-curve.r_b, curve.r_b, 2001)
+    for rate in (0.85 * lam, -0.5 * lam):
+        f = HelmholtzProfile(curve, rate)
+        got = (f.value(radii), f.d1(radii), f.d2(radii), f.d3(radii))
+        for mine, ref in zip(got, _helmholtz_through_the_frame(curve, rate, radii)):
+            assert np.max(np.abs(mine - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_helmholtz_unresolvable_rate_is_a_typed_error(band):
+    # the integrator gives up at the first step and returns no dense output
+    with pytest.raises(ConvergenceFailure):
+        HelmholtzProfile(band, 1e160)
 
 
 def test_parity_exact(band):

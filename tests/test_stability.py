@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from bandflow import (
     ConstantProfile,
@@ -111,3 +112,25 @@ def test_eigen_solver_validation(band):
         lambda1_mode(band, 0, n=8)
     with pytest.raises(ValueError):
         lambda1(band, bc="neumann")
+
+
+def _smallest_of_dense_pencil(curve, m, n):
+    # -(c1 phi')' + (m^2/c1) phi = lambda c1 phi on n intervals, as a
+    # dense generalized problem K phi = lambda M phi over interior nodes
+    nodes = np.linspace(-curve.r_b, curve.r_b, n + 1)
+    h = nodes[1] - nodes[0]
+    c_mid = np.asarray(curve.c1(0.5 * (nodes[:-1] + nodes[1:])))
+    c_int = np.asarray(curve.c1(nodes[1:-1]))
+    stiffness = (
+        np.diag((c_mid[:-1] + c_mid[1:]) / h**2 + m * m / c_int)
+        - np.diag(c_mid[1:-1] / h**2, 1)
+        - np.diag(c_mid[1:-1] / h**2, -1)
+    )
+    return float(eigh(stiffness, np.diag(c_int), eigvals_only=True)[0])
+
+
+@pytest.mark.parametrize("m", [0, 1, 5])
+def test_eigenvalue_only_solve_matches_a_dense_pencil(band, m):
+    est = lambda1_mode(band, m, n=64)
+    assert math.isclose(est.coarse, _smallest_of_dense_pencil(band, m, 64), rel_tol=1e-10)
+    assert math.isclose(est.fine, _smallest_of_dense_pencil(band, m, 128), rel_tol=1e-10)
