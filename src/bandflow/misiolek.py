@@ -20,13 +20,13 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import BoundaryViolation, TangencyViolation
 from .fields import SeparableField, VectorField, ZonalField, divergence
 from .geometry import ProfileCurve
 from .profiles import RadialProfile
 from .quadrature import adaptive_gauss_legendre
+from .stability import _pencil_smallest
 
 __all__ = [
     "MC_METHODS",
@@ -360,7 +360,10 @@ def optimal_bump_ratio(F: RadialProfile, curve: ProfileCurve, n: int = 4000) -> 
     generalized eigenvalue problem; a value below one means some bump
     certifies this flow, a value at or above one means none does, plateau
     or otherwise.  On the round sphere the gain weight vanishes and the
-    ratio is infinite.
+    ratio is infinite.  The pencil -(penalty h')' = ratio gain h is solved
+    by the same shifted inverse iteration as lambda1
+    (`stability._pencil_smallest`), which resolves the ratio to about
+    1e-15 relative however many decades the gain weight spans.
     """
     if n < 16:
         raise ValueError("grid too coarse for the eigenvalue bound")
@@ -380,14 +383,4 @@ def optimal_bump_ratio(F: RadialProfile, curve: ProfileCurve, n: int = 4000) -> 
         return math.inf
     # flooring the mass where the defect vanishes perturbs the bound by O(floor)
     gain = np.maximum(gain, 1e-14 * peak)
-    diag = (penalty[:-1] + penalty[1:]) / step**2
-    off = -penalty[1:-1] / step**2
-    scale = 1.0 / np.sqrt(gain)
-    vals = eigh_tridiagonal(
-        diag * scale * scale,
-        off * scale[:-1] * scale[1:],
-        eigvals_only=True,
-        select="i",
-        select_range=(0, 0),
-    )
-    return float(vals[0])
+    return _pencil_smallest(penalty, 0.0, gain, step)

@@ -7,11 +7,13 @@ accepted once splitting it changes the value by less than its share of the
 global budget.  Known kinks can be passed as breakpoints (`points`, as in
 scipy.integrate.quad) so that no panel straddles one.
 
-Refinement runs in rounds, and each round makes exactly one integrand
-call: round 0 evaluates every initial panel together with both of its
-halves, and each later round evaluates the halves of all panels still
-pending.  Integrands therefore see one long node vector per round rather
-than one short vector per panel.
+Refinement runs in rounds, and each round makes one integrand call:
+round 0 evaluates every initial panel together with both of its halves,
+and each later round evaluates the halves of all panels still pending.
+Integrands therefore see one long node vector per round rather than one
+short vector per panel.  A round of more than 2^16 nodes is evaluated in
+slices of at most that many, so an integrand that never settles cannot
+build arrays of unbounded size before the panel budget runs out.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .errors import QuadratureFailure
 __all__ = ["IntegralResult", "adaptive_gauss_legendre"]
 
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_MAX_NODES_PER_CALL = 2**16
 
 
 def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -43,12 +46,17 @@ class IntegralResult:
 def _panels(
     f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, n: int
 ) -> np.ndarray:
-    """Rule values on every panel [lo[i], hi[i]] from one call of f."""
+    """Rule values on every panel [lo[i], hi[i]], f called on capped slices."""
     x, w = _rule(n)
     half = 0.5 * (hi - lo)
-    nodes = half[:, None] * x + (0.5 * (hi + lo))[:, None]
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(len(lo), n)
-    return half * (vals @ w)
+    nodes = (half[:, None] * x + (0.5 * (hi + lo))[:, None]).ravel()
+    vals = np.concatenate(
+        [
+            np.asarray(f(nodes[i : i + _MAX_NODES_PER_CALL]), dtype=float)
+            for i in range(0, nodes.size, _MAX_NODES_PER_CALL)
+        ]
+    )
+    return half * (vals.reshape(len(lo), n) @ w)
 
 
 def adaptive_gauss_legendre(

@@ -357,3 +357,66 @@ def test_optimal_bump_ratio_explains_failures(band):
     # a ratio above one promises every bump loses; spot-check a few widths
     for w in (0.1, 0.3, 0.6, 0.9):
         assert mc_bump_formula(big_f, PlateauProfile(band.r_b, w), band).value < 0.0
+
+
+class _Wobble(RadialProfile):
+    """1 + amplitude cos(r): a smooth relative change of size amplitude."""
+
+    def __init__(self, amplitude):
+        self.amplitude = amplitude
+
+    def value(self, r):
+        return 1.0 + self.amplitude * np.cos(r)
+
+    def d1(self, r):
+        return -self.amplitude * np.sin(r)
+
+    def d2(self, r):
+        return -self.amplitude * np.cos(r)
+
+    def d3(self, r):
+        return self.amplitude * np.sin(r)
+
+    def describe(self):
+        return {"family": "wobble", "amplitude": self.amplitude}
+
+
+def test_optimal_bump_ratio_is_resolved_on_a_graded_pencil(monkeypatch):
+    # at a=12, b=0.98 the gain weight spans more than five decades
+    from bandflow import HelmholtzProfile, SurfaceSpec, lambda1, misiolek, solve_profile
+    from bandflow.stability import _pencil_smallest
+
+    curve = solve_profile(SurfaceSpec(12.0, 0.98))
+    big_f = ZonalVelocityProfile(HelmholtzProfile(curve, 0.85 * lambda1(curve).value), curve)
+    pencils = []
+
+    def recording(stiff, potential, mass, step):
+        pencils.append((stiff, potential, mass, step))
+        return _pencil_smallest(stiff, potential, mass, step)
+
+    monkeypatch.setattr(misiolek, "_pencil_smallest", recording)
+    ratio = optimal_bump_ratio(big_f, curve)
+    wobbled = optimal_bump_ratio(big_f * _Wobble(1e-12), curve)
+    # a 1e-12 change of F moves F^2 and so the ratio by about 2e-12
+    assert abs(wobbled - ratio) <= 1e-10 * ratio
+    stiff, potential, mass, step = pencils[0]
+    assert np.max(mass) > 1e5 * np.min(mass)
+    assert math.isclose(
+        _pencil_smallest(stiff, potential, 1e8 * mass, step), 1e-8 * ratio, rel_tol=1e-13
+    )
+
+
+@pytest.mark.parametrize("a, b", [(1.5, 0.3), (2.0, 0.5), (3.0, 0.7)])
+def test_helmholtz_at_the_m1_eigenvalue_has_ratio_one(a, b):
+    # at slope -lambda1(m = 1) the bump pencil's ratio tends to one as
+    # O(n^-2); the two pencils are assembled independently in stability
+    # and misiolek, so this agreement checks both
+    from bandflow import HelmholtzProfile, SurfaceSpec, lambda1_mode, solve_profile
+
+    curve = solve_profile(SurfaceSpec(a, b))
+    f = HelmholtzProfile(curve, lambda1_mode(curve, 1).richardson)
+    big_f = ZonalVelocityProfile(f, curve)
+    excess = [optimal_bump_ratio(big_f, curve, n=n) - 1.0 for n in (2000, 4000, 8000)]
+    assert all(e > 0.0 for e in excess)
+    for coarse, fine in zip(excess, excess[1:]):
+        assert 3.9 <= coarse / fine <= 4.1

@@ -102,3 +102,17 @@ def test_points_at_plateau_joins_save_evaluations():
     assert abs(split.value - ref) <= split.error + 1e-14 * abs(ref)
     assert abs(blind.value - ref) <= blind.error + 1e-14 * abs(ref)
     assert split.n_evals < blind.n_evals
+
+
+def test_a_round_is_evaluated_in_capped_slices():
+    sizes = []
+
+    def fast_sine(x):
+        sizes.append(x.size)
+        return np.sin(1e5 * x)
+
+    res = adaptive_gauss_legendre(fast_sine, 0.0, 1.0, rel_tol=1e-12)
+    assert math.isclose(res.value, (1.0 - math.cos(1e5)) / 1e5, rel_tol=1e-10)
+    # the round of 2^17 nodes is split; no slice exceeds 2^16 nodes
+    assert max(sizes) == 2**16
+    assert sum(sizes) == res.n_evals

@@ -16,6 +16,8 @@ from bandflow import (
     profile_conditions,
     solve_profile,
 )
+from bandflow.errors import ConvergenceFailure
+from bandflow.stability import _pencil_smallest
 
 # high-resolution reference values (n = 8192, Richardson), frozen
 LAMBDA1_SPHERE_HALF = 8.490488177921101
@@ -134,3 +136,26 @@ def test_eigenvalue_only_solve_matches_a_dense_pencil(band, m):
     est = lambda1_mode(band, m, n=64)
     assert math.isclose(est.coarse, _smallest_of_dense_pencil(band, m, 64), rel_tol=1e-10)
     assert math.isclose(est.fine, _smallest_of_dense_pencil(band, m, 128), rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 1e-7), (1.0, 1e-7), (12.0, 1e-5)])
+def test_thin_band_mode_scan_settles(a, b):
+    # neighbouring modes differ by m^2/c1^2 against lambda ~ 1/b^2: a few ulps
+    curve = solve_profile(SurfaceSpec(a, b))
+    result = lambda1(curve)
+    flat = math.pi**2 / (4.0 * curve.r_b**2)
+    assert len(result.modes) <= 3
+    assert math.isclose(result.value, flat, rel_tol=1e-6)
+
+
+def test_indefinite_pencil_is_a_convergence_failure():
+    n = 16
+    with pytest.raises(ConvergenceFailure, match="not positive definite"):
+        _pencil_smallest(np.zeros(n), np.zeros(n - 1), np.ones(n - 1), 1.0 / n)
+
+
+def test_unsettled_pencil_iteration_is_a_convergence_failure(band, monkeypatch):
+    # one inverse-iteration step gives one quotient, never two that agree
+    monkeypatch.setattr("bandflow.stability._PENCIL_MAX_STEPS", 1)
+    with pytest.raises(ConvergenceFailure, match="did not settle"):
+        lambda1_mode(band, 0, n=64)
