@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionNearZero, QuadratureFailure
-from .geometry import ProfileCurve
+from .geometry import ProfileCurve, _pointwise
 from .profiles import RadialProfile
 from .quadrature import adaptive_gauss_legendre
 
@@ -36,7 +36,6 @@ __all__ = [
     "fprime_numerator",
     "fprime_ratio",
     "hodge_star",
-    "radial_gradient",
     "radial_laplacian",
     "radial_table",
     "zonal_from_f",
@@ -45,14 +44,6 @@ __all__ = [
 FIELD_COLUMNS = ("r", "value", "d1", "d2", "d3")
 
 _NEAR_ZERO = 1e-14
-
-
-def _batched(x) -> tuple[np.ndarray, bool]:
-    return np.atleast_1d(np.asarray(x, dtype=float)), np.asarray(x).ndim == 0
-
-
-def _unbatched(values: np.ndarray, scalar: bool) -> float | np.ndarray:
-    return float(values[0]) if scalar else values
 
 
 @dataclass(frozen=True)
@@ -73,57 +64,38 @@ class HodgeCoefficients:
 
 def hodge_star(curve: ProfileCurve, r) -> HodgeCoefficients:
     """Hodge star coefficients at r; star of star is minus the identity."""
-    arr, scalar = _batched(r)
-    c1 = curve.c1(arr)
+    c1 = curve.c1(r)
     return HodgeCoefficients(
-        on_dr=_unbatched(-1.0 / c1, scalar),
-        on_dtheta=_unbatched(c1.copy(), scalar),
-        on_form_dr=_unbatched(-c1, scalar),
-        on_form_dtheta=_unbatched(1.0 / c1, scalar),
+        on_dr=-1.0 / c1, on_dtheta=c1, on_form_dr=-c1, on_form_dtheta=1.0 / c1
     )
 
 
-def radial_gradient(phi: RadialProfile, curve: ProfileCurve, r) -> float | np.ndarray:
-    """The partial_r coefficient of grad phi for a radial function.
-
-    The theta-coefficient vanishes identically for radial input; the curve
-    argument only enforces the domain.
-    """
-    curve.frame(r)
-    return phi.d1(r)
-
-
+@_pointwise
 def radial_laplacian(phi: RadialProfile, curve: ProfileCurve, r) -> float | np.ndarray:
     """Laplace-Beltrami of a radial function: phi'' + (dc1/c1) phi'."""
-    arr, scalar = _batched(r)
-    fr = curve.frame(arr)
-    d1 = np.atleast_1d(np.asarray(phi.d1(arr), dtype=float))
-    d2 = np.atleast_1d(np.asarray(phi.d2(arr), dtype=float))
-    return _unbatched(d2 + (fr.dc1 / fr.c1) * d1, scalar)
+    fr = curve.frame(r)
+    return phi.d2(r) + (fr.dc1 / fr.c1) * phi.d1(r)
 
 
+@_pointwise
 def fprime_numerator(f: RadialProfile, curve: ProfileCurve, r) -> float | np.ndarray:
     """The second-order combination f'' - (dc1/c1) f'.
 
     This is the numerator of the slope of the vorticity-stream relation;
     its sign against f decides the Arnold branch.
     """
-    arr, scalar = _batched(r)
-    fr = curve.frame(arr)
-    d1 = np.atleast_1d(np.asarray(f.d1(arr), dtype=float))
-    d2 = np.atleast_1d(np.asarray(f.d2(arr), dtype=float))
-    return _unbatched(d2 - (fr.dc1 / fr.c1) * d1, scalar)
+    fr = curve.frame(r)
+    return f.d2(r) - (fr.dc1 / fr.c1) * f.d1(r)
 
 
+@_pointwise
 def fprime_from_f(f: RadialProfile, curve: ProfileCurve, r) -> float | np.ndarray:
     """Slope of the vorticity-stream relation as (f'' - (dc1/c1) f') / f."""
-    arr, scalar = _batched(r)
-    values = np.atleast_1d(np.asarray(f.value(arr), dtype=float))
+    values = f.value(r)
     small = float(np.min(np.abs(values)))
     if small < _NEAR_ZERO:
         raise DivisionNearZero(f"|f| dropped to {small:.3e} on the requested points")
-    num = np.atleast_1d(np.asarray(fprime_numerator(f, curve, arr), dtype=float))
-    return _unbatched(num / values, scalar)
+    return fprime_numerator(f, curve, r) / values
 
 
 class StreamFunction(RadialProfile):
@@ -141,15 +113,12 @@ class StreamFunction(RadialProfile):
         self.tol = float(tol)
 
     def value(self, r):
-        arr, scalar = _batched(r)
-
         def integrand(x: np.ndarray) -> np.ndarray:
-            return np.asarray(self.f.value(x), dtype=float) / self.curve.c1(x)
+            return self.f.value(x) / self.curve.c1(x)
 
-        out = np.empty_like(arr)
-        for i, radius in enumerate(arr):
+        out = np.zeros_like(r)
+        for i, radius in enumerate(r.flat):
             if radius == 0.0:
-                out[i] = 0.0
                 continue
             result = adaptive_gauss_legendre(
                 integrand, 0.0, abs(radius), rel_tol=1e-10, abs_tol=1e-13
@@ -158,36 +127,26 @@ class StreamFunction(RadialProfile):
                 raise QuadratureFailure(
                     f"stream quadrature error {result.error:.3e} exceeds {self.tol:.3e}"
                 )
-            out[i] = math.copysign(result.value, radius)
-        return _unbatched(out, scalar)
+            out.flat[i] = math.copysign(result.value, radius)
+        return out
 
     def d1(self, r):
-        arr, scalar = _batched(r)
-        fr = self.curve.frame(arr)
-        fv = np.atleast_1d(np.asarray(self.f.value(arr), dtype=float))
-        return _unbatched(fv / fr.c1, scalar)
+        return self.f.value(r) / self.curve.frame(r).c1
 
     def d2(self, r):
-        arr, scalar = _batched(r)
-        fr = self.curve.frame(arr)
-        fv = np.atleast_1d(np.asarray(self.f.value(arr), dtype=float))
-        fd = np.atleast_1d(np.asarray(self.f.d1(arr), dtype=float))
-        return _unbatched(fd / fr.c1 - fv * fr.dc1 / fr.c1**2, scalar)
+        fr = self.curve.frame(r)
+        return self.f.d1(r) / fr.c1 - self.f.value(r) * fr.dc1 / fr.c1**2
 
     def d3(self, r):
-        arr, scalar = _batched(r)
-        fr = self.curve.frame(arr)
-        fv = np.atleast_1d(np.asarray(self.f.value(arr), dtype=float))
-        fd = np.atleast_1d(np.asarray(self.f.d1(arr), dtype=float))
-        fdd = np.atleast_1d(np.asarray(self.f.d2(arr), dtype=float))
+        fr = self.curve.frame(r)
+        fv, fd, fdd = self.f.value(r), self.f.d1(r), self.f.d2(r)
         c1, dc1, ddc1 = fr.c1, fr.dc1, fr.ddc1
-        out = (
+        return (
             fdd / c1
             - 2.0 * fd * dc1 / c1**2
             - fv * ddc1 / c1**2
             + 2.0 * fv * dc1**2 / c1**3
         )
-        return _unbatched(out, scalar)
 
     def describe(self) -> dict:
         return {"family": "stream", "f": self.f.describe()}
@@ -201,38 +160,35 @@ def _psi_slope_guard(d1: np.ndarray) -> None:
         )
 
 
+@_pointwise
 def fprime_from_psi(psi: StreamFunction, r) -> float | np.ndarray:
     """Slope via the three-term stream expansion.
 
     psi'''/psi' + (dc1/c1) psi''/psi' + (ddc1 c1 - dc1^2)/c1^2; equivalent
     to fprime_from_f wherever psi' does not vanish.
     """
-    arr, scalar = _batched(r)
-    fr = psi.curve.frame(arr)
-    d1 = np.atleast_1d(np.asarray(psi.d1(arr), dtype=float))
+    fr = psi.curve.frame(r)
+    d1 = psi.d1(r)
     _psi_slope_guard(d1)
-    d2 = np.atleast_1d(np.asarray(psi.d2(arr), dtype=float))
-    d3 = np.atleast_1d(np.asarray(psi.d3(arr), dtype=float))
+    d2, d3 = psi.d2(r), psi.d3(r)
     c1, dc1, ddc1 = fr.c1, fr.dc1, fr.ddc1
-    out = d3 / d1 + (dc1 / c1) * (d2 / d1) + (ddc1 * c1 - dc1**2) / c1**2
-    return _unbatched(out, scalar)
+    return d3 / d1 + (dc1 / c1) * (d2 / d1) + (ddc1 * c1 - dc1**2) / c1**2
 
 
+@_pointwise
 def fprime_ratio(psi: StreamFunction, r) -> float | np.ndarray:
     """Slope as the gradient ratio omega' / psi'.
 
     omega = psi'' + (dc1/c1) psi' is differentiated analytically; no part
     of this route shares cancellations with fprime_from_psi.
     """
-    arr, scalar = _batched(r)
-    fr = psi.curve.frame(arr)
-    d1 = np.atleast_1d(np.asarray(psi.d1(arr), dtype=float))
+    fr = psi.curve.frame(r)
+    d1 = psi.d1(r)
     _psi_slope_guard(d1)
-    d2 = np.atleast_1d(np.asarray(psi.d2(arr), dtype=float))
-    d3 = np.atleast_1d(np.asarray(psi.d3(arr), dtype=float))
+    d2, d3 = psi.d2(r), psi.d3(r)
     c1, dc1, ddc1 = fr.c1, fr.dc1, fr.ddc1
     omega_dot = d3 + (ddc1 / c1 - (dc1 / c1) ** 2) * d1 + (dc1 / c1) * d2
-    return _unbatched(omega_dot / d1, scalar)
+    return omega_dot / d1
 
 
 class VectorField(ABC):
@@ -358,8 +314,8 @@ class ZonalVelocityProfile(RadialProfile):
         self.f = f
         self.curve = curve
 
-    def _chain(self, arr: np.ndarray):
-        fr = self.curve.frame(arr)
+    def _chain(self, r: np.ndarray):
+        fr = self.curve.frame(r)
         c1, dc1, ddc1, dddc1 = fr.c1, fr.dc1, fr.ddc1, fr.dddc1
         u = c1**-2.0
         du = -2.0 * c1**-3.0 * dc1
@@ -372,36 +328,21 @@ class ZonalVelocityProfile(RadialProfile):
         return u, du, ddu, dddu
 
     def value(self, r):
-        arr, scalar = _batched(r)
-        u = self.curve.c1(arr) ** -2.0
-        fv = np.atleast_1d(np.asarray(self.f.value(arr), dtype=float))
-        return _unbatched(-fv * u, scalar)
+        return -self.f.value(r) * self.curve.c1(r) ** -2.0
 
     def d1(self, r):
-        arr, scalar = _batched(r)
-        u, du, _, _ = self._chain(arr)
-        fv = np.atleast_1d(np.asarray(self.f.value(arr), dtype=float))
-        fd = np.atleast_1d(np.asarray(self.f.d1(arr), dtype=float))
-        return _unbatched(-(fd * u + fv * du), scalar)
+        u, du, _, _ = self._chain(r)
+        return -(self.f.d1(r) * u + self.f.value(r) * du)
 
     def d2(self, r):
-        arr, scalar = _batched(r)
-        u, du, ddu, _ = self._chain(arr)
-        fv = np.atleast_1d(np.asarray(self.f.value(arr), dtype=float))
-        fd = np.atleast_1d(np.asarray(self.f.d1(arr), dtype=float))
-        fdd = np.atleast_1d(np.asarray(self.f.d2(arr), dtype=float))
-        return _unbatched(-(fdd * u + 2.0 * fd * du + fv * ddu), scalar)
+        u, du, ddu, _ = self._chain(r)
+        fv, fd, fdd = self.f.value(r), self.f.d1(r), self.f.d2(r)
+        return -(fdd * u + 2.0 * fd * du + fv * ddu)
 
     def d3(self, r):
-        arr, scalar = _batched(r)
-        u, du, ddu, dddu = self._chain(arr)
-        fv = np.atleast_1d(np.asarray(self.f.value(arr), dtype=float))
-        fd = np.atleast_1d(np.asarray(self.f.d1(arr), dtype=float))
-        fdd = np.atleast_1d(np.asarray(self.f.d2(arr), dtype=float))
-        fddd = np.atleast_1d(np.asarray(self.f.d3(arr), dtype=float))
-        return _unbatched(
-            -(fddd * u + 3.0 * fdd * du + 3.0 * fd * ddu + fv * dddu), scalar
-        )
+        u, du, ddu, dddu = self._chain(r)
+        fv, fd, fdd, fddd = self.f.value(r), self.f.d1(r), self.f.d2(r), self.f.d3(r)
+        return -(fddd * u + 3.0 * fdd * du + 3.0 * fd * ddu + fv * dddu)
 
     def describe(self) -> dict:
         return {"family": "zonal-velocity", "f": self.f.describe()}
@@ -416,7 +357,7 @@ class ZonalField(SeparableField):
 
     def radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         zero = np.zeros_like(r)
-        return zero, zero, np.asarray(self.coefficient.value(r), dtype=float)
+        return zero, zero, self.coefficient.value(r)
 
 
 def zonal_from_f(f: RadialProfile, curve: ProfileCurve) -> ZonalField:
@@ -426,12 +367,7 @@ def zonal_from_f(f: RadialProfile, curve: ProfileCurve) -> ZonalField:
 
 def radial_table(profile: RadialProfile, radii) -> np.ndarray:
     """Rows of FIELD_COLUMNS for CSV export of a radial function."""
-    arr = np.atleast_1d(np.asarray(radii, dtype=float))
-    cols = [
-        arr,
-        np.atleast_1d(np.asarray(profile.value(arr), dtype=float)),
-        np.atleast_1d(np.asarray(profile.d1(arr), dtype=float)),
-        np.atleast_1d(np.asarray(profile.d2(arr), dtype=float)),
-        np.atleast_1d(np.asarray(profile.d3(arr), dtype=float)),
-    ]
-    return np.column_stack(cols)
+    r = np.atleast_1d(np.asarray(radii, dtype=float))
+    return np.column_stack(
+        [r, profile.value(r), profile.d1(r), profile.d2(r), profile.d3(r)]
+    )

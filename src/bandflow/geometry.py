@@ -15,6 +15,7 @@ module is ever taken by finite differences.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,10 +98,28 @@ class ChristoffelSymbols:
     theta_r_theta: float | np.ndarray
 
 
-def _match_shape(values: np.ndarray, like) -> float | np.ndarray:
-    if np.asarray(like).ndim == 0:
-        return float(values[0])
-    return values
+def _like(values: np.ndarray, r) -> float | np.ndarray:
+    """values as a float when r was a scalar, otherwise unchanged."""
+    return float(values[0]) if np.ndim(r) == 0 else values
+
+
+def _pointwise(fn):
+    """Let an array-only radial function also take a scalar r.
+
+    The last positional argument reaches fn as a float array of at least
+    one dimension, and a scalar r gets a float back (see _like).  Arrays
+    take the short path: this wraps every profile evaluation.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        *head, r = args
+        arr = np.asarray(r, dtype=float)
+        if arr.ndim:
+            return fn(*head, arr)
+        return _like(fn(*head, arr.reshape(1)), r)
+
+    return wrapper
 
 
 class ProfileCurve:
@@ -182,30 +201,30 @@ class ProfileCurve:
         )
 
     def c1(self, r) -> float | np.ndarray:
-        return _match_shape(self._base(r)[1], r)
+        return _like(self._base(r)[1], r)
 
     def c2(self, r) -> float | np.ndarray:
-        return _match_shape(self._base(r)[2], r)
+        return _like(self._base(r)[2], r)
 
     def dc1(self, r) -> float | np.ndarray:
-        return _match_shape(self.frame(r).dc1, r)
+        return _like(self.frame(r).dc1, r)
 
     def dc2(self, r) -> float | np.ndarray:
-        return _match_shape(self.frame(r).dc2, r)
+        return _like(self.frame(r).dc2, r)
 
     def ddc1(self, r) -> float | np.ndarray:
-        return _match_shape(self.frame(r).ddc1, r)
+        return _like(self.frame(r).ddc1, r)
 
     def ddc2(self, r) -> float | np.ndarray:
-        return _match_shape(self.frame(r).ddc2, r)
+        return _like(self.frame(r).ddc2, r)
 
     def dddc1(self, r) -> float | np.ndarray:
-        return _match_shape(self.frame(r).dddc1, r)
+        return _like(self.frame(r).dddc1, r)
 
     def dlog_c1(self, r) -> float | np.ndarray:
         """Logarithmic derivative dc1/c1, the recurring metric weight."""
         fr = self.frame(r)
-        return _match_shape(fr.dc1 / fr.c1, r)
+        return _like(fr.dc1 / fr.c1, r)
 
 
 def meridian_slopes(c1: float, c2: float, a2: float, a4: float) -> tuple[float, float]:
@@ -328,15 +347,15 @@ def curvature_defect(curve: ProfileCurve, r) -> float | np.ndarray:
     low = float(np.min(radicand))
     if low < -1e-8:
         raise NegativeRadicand(f"defect radicand reached {low:.3e}, below -1e-8")
-    return _match_shape(np.sqrt(np.where(radicand < 0.0, 0.0, radicand)), r)
+    return _like(np.sqrt(np.where(radicand < 0.0, 0.0, radicand)), r)
 
 
 def connection(curve: ProfileCurve, r) -> ChristoffelSymbols:
     """Christoffel symbols of the band metric at r (scalar or array)."""
     fr = curve.frame(r)
     return ChristoffelSymbols(
-        r_theta_theta=_match_shape(-fr.c1 * fr.dc1, r),
-        theta_r_theta=_match_shape(fr.dc1 / fr.c1, r),
+        r_theta_theta=_like(-fr.c1 * fr.dc1, r),
+        theta_r_theta=_like(fr.dc1 / fr.c1, r),
     )
 
 

@@ -30,7 +30,6 @@ from .stability import _pencil_smallest
 
 __all__ = [
     "MC_METHODS",
-    "MC_SAMPLE_COLUMNS",
     "BumpField",
     "MCResult",
     "StreamPotentialField",
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 MC_METHODS = ("formula-1d", "reduced-2d", "direct-geometric")
-MC_SAMPLE_COLUMNS = ("r", "integrand")
 
 _BUMP_EDGE_TOL = 1e-12
 _TANGENCY_TOL = 1e-10
@@ -90,7 +88,7 @@ class MCResult:
 
 
 def _check_bump(h: RadialProfile, curve: ProfileCurve) -> None:
-    edge = float(np.max(np.abs(np.asarray(h.value(np.array([-curve.r_b, curve.r_b]))))))
+    edge = float(np.max(np.abs(h.value(np.array([-curve.r_b, curve.r_b])))))
     if edge > _BUMP_EDGE_TOL:
         raise BoundaryViolation(
             f"bump reaches {edge:.3e} at the boundary circles (tolerance {_BUMP_EDGE_TOL:.0e})"
@@ -112,8 +110,7 @@ class BumpField(SeparableField):
 
     def radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         fr = self.curve.frame(r)
-        hv = np.asarray(self.h.value(r), dtype=float)
-        hd = np.asarray(self.h.d1(r), dtype=float)
+        hv, hd = self.h.value(r), self.h.d1(r)
         return hv, hd, hd + hv * fr.dc1 / fr.c1
 
 
@@ -141,9 +138,7 @@ class StreamPotentialField(SeparableField):
         if harmonic < 0:
             raise ValueError(f"harmonic index must be nonnegative, got {harmonic}")
         if harmonic >= 1:
-            edge = float(
-                np.max(np.abs(np.asarray(g.value(np.array([-curve.r_b, curve.r_b])))))
-            )
+            edge = float(np.max(np.abs(g.value(np.array([-curve.r_b, curve.r_b])))))
             if edge > _TANGENCY_TOL:
                 raise TangencyViolation(
                     f"potential reaches {edge:.3e} at the boundary; the field "
@@ -154,8 +149,7 @@ class StreamPotentialField(SeparableField):
 
     def radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         fr = self.curve.frame(r)
-        gv = np.asarray(self.g.value(r), dtype=float)
-        gd = np.asarray(self.g.d1(r), dtype=float)
+        gv, gd = self.g.value(r), self.g.d1(r)
         m = self.harmonic
         return (
             -m * gv / fr.c1,
@@ -227,9 +221,7 @@ def mc_bump_formula(
     def density(r: np.ndarray) -> np.ndarray:
         fr = curve.frame(r)
         eps_sq = fr.dc1**2 - fr.c1 * fr.ddc1 - 1.0
-        fv = np.asarray(F.value(r), dtype=float)
-        hv = np.asarray(h.value(r), dtype=float)
-        hd = np.asarray(h.d1(r), dtype=float)
+        fv, hv, hd = F.value(r), h.value(r), h.d1(r)
         return (
             math.pi
             * fv**2
@@ -284,7 +276,7 @@ def mc_reduced(
 
     def density(r: np.ndarray) -> np.ndarray:
         fr = curve.frame(r)
-        fv = np.asarray(F.value(r), dtype=float)
+        fv = F.value(r)
         rr = r[:, None]
         tt = thetas[None, :]
         w1 = W.u1(rr, tt)
@@ -323,8 +315,8 @@ def mc_direct(
 
     def density(r: np.ndarray) -> np.ndarray:
         fr = curve.frame(r)
-        big_f = np.asarray(coeff.value(r), dtype=float)[:, None]
-        big_f_dot = np.asarray(coeff.d1(r), dtype=float)[:, None]
+        big_f = coeff.value(r)[:, None]
+        big_f_dot = coeff.d1(r)[:, None]
         gamma_r = (-fr.c1 * fr.dc1)[:, None]
         gamma_th = (fr.dc1 / fr.c1)[:, None]
         c1 = fr.c1[:, None]
@@ -333,10 +325,12 @@ def mc_direct(
 
         w1 = W.u1(rr, tt)
         w2 = W.u2(rr, tt)
-        b1 = big_f * W.du1_dtheta(rr, tt)
+        # b1 = big_f dw1/dtheta, scaled in place once db2 has read dw1/dtheta
+        b1 = W.du1_dtheta(rr, tt)
+        db2_dth = big_f * W.d2u2_dtheta2(rr, tt) - big_f_dot * b1
+        b1 *= big_f
         b2 = big_f * W.du2_dtheta(rr, tt) - big_f_dot * w1
         db1_dth = big_f * W.d2u1_dtheta2(rr, tt)
-        db2_dth = big_f * W.d2u2_dtheta2(rr, tt) - big_f_dot * W.du1_dtheta(rr, tt)
 
         nabla_z_br = big_f * (db1_dth + gamma_r * b2)
         nabla_z_bth = big_f * (db2_dth + gamma_th * b1)
@@ -373,8 +367,8 @@ def optimal_bump_ratio(F: RadialProfile, curve: ProfileCurve, n: int = 4000) -> 
     mid = 0.5 * (r[:-1] + r[1:])
     c1_mid = curve.c1(mid)
     fi = curve.frame(r[1:-1])
-    big_f_mid = np.asarray(F.value(mid), dtype=float)
-    big_f_int = np.asarray(F.value(r[1:-1]), dtype=float)
+    big_f_mid = F.value(mid)
+    big_f_int = F.value(r[1:-1])
     eps_sq = fi.dc1**2 - fi.c1 * fi.ddc1 - 1.0
     penalty = big_f_mid**2 * c1_mid**3
     gain = big_f_int**2 * fi.c1 * np.maximum(eps_sq, 0.0)

@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import ConvergenceFailure
-from .geometry import ProfileCurve, meridian_slopes
+from .geometry import ProfileCurve, _pointwise, meridian_slopes
 
 __all__ = [
     "ConstantProfile",
@@ -33,16 +33,13 @@ __all__ = [
 ]
 
 
-def _batch(r) -> tuple[np.ndarray, bool]:
-    return np.atleast_1d(np.asarray(r, dtype=float)), np.asarray(r).ndim == 0
-
-
-def _unbatch(values: np.ndarray, scalar: bool) -> float | np.ndarray:
-    return float(values[0]) if scalar else values
-
-
 class RadialProfile(ABC):
     """A function of the radial coordinate with three exact derivatives.
+
+    value, d1, d2 and d3 take r as a scalar or an array of any shape.
+    Subclasses write them for arrays only: the base class wraps each one a
+    subclass defines so that r arrives as a float array of at least one
+    dimension, and a scalar r gets a float back.
 
     `joins` lists, in ascending order, the radii where the profile is only
     finitely smooth (piecewise families switch formula there).  Quadrature
@@ -51,6 +48,12 @@ class RadialProfile(ABC):
     """
 
     joins: tuple[float, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in ("value", "d1", "d2", "d3"):
+            if name in cls.__dict__:
+                setattr(cls, name, _pointwise(cls.__dict__[name]))
 
     @abstractmethod
     def value(self, r) -> float | np.ndarray: ...
@@ -89,12 +92,10 @@ class ConstantProfile(RadialProfile):
         self.c = float(c)
 
     def value(self, r):
-        arr, scalar = _batch(r)
-        return _unbatch(np.full_like(arr, self.c), scalar)
+        return np.full_like(r, self.c)
 
     def d1(self, r):
-        arr, scalar = _batch(r)
-        return _unbatch(np.zeros_like(arr), scalar)
+        return np.zeros_like(r)
 
     d2 = d1
     d3 = d1
@@ -111,21 +112,17 @@ class PolynomialProfile(RadialProfile):
         for _ in range(3):
             self._c.append(P.polyder(self._c[-1]))
 
-    def _eval(self, r, order: int):
-        arr, scalar = _batch(r)
-        return _unbatch(P.polyval(arr, self._c[order]), scalar)
-
     def value(self, r):
-        return self._eval(r, 0)
+        return P.polyval(r, self._c[0])
 
     def d1(self, r):
-        return self._eval(r, 1)
+        return P.polyval(r, self._c[1])
 
     def d2(self, r):
-        return self._eval(r, 2)
+        return P.polyval(r, self._c[2])
 
     def d3(self, r):
-        return self._eval(r, 3)
+        return P.polyval(r, self._c[3])
 
     def describe(self) -> dict:
         return {"family": "polynomial", "coefficients": self._c[0].tolist()}
@@ -142,28 +139,22 @@ class GaussianProfile(RadialProfile):
         self.delta = float(delta)
         self.kappa = float(kappa)
 
-    def _bell(self, arr: np.ndarray) -> np.ndarray:
-        return (1.0 - self.delta) * np.exp(-self.kappa * arr * arr)
+    def _bell(self, r: np.ndarray) -> np.ndarray:
+        return (1.0 - self.delta) * np.exp(-self.kappa * r * r)
 
     def value(self, r):
-        arr, scalar = _batch(r)
-        return _unbatch(self.delta + self._bell(arr), scalar)
+        return self.delta + self._bell(r)
 
     def d1(self, r):
-        arr, scalar = _batch(r)
-        return _unbatch(-2.0 * self.kappa * arr * self._bell(arr), scalar)
+        return -2.0 * self.kappa * r * self._bell(r)
 
     def d2(self, r):
-        arr, scalar = _batch(r)
         k = self.kappa
-        return _unbatch((4.0 * k * k * arr * arr - 2.0 * k) * self._bell(arr), scalar)
+        return (4.0 * k * k * r * r - 2.0 * k) * self._bell(r)
 
     def d3(self, r):
-        arr, scalar = _batch(r)
         k = self.kappa
-        return _unbatch(
-            (12.0 * k * k * arr - 8.0 * k**3 * arr**3) * self._bell(arr), scalar
-        )
+        return (12.0 * k * k * r - 8.0 * k**3 * r**3) * self._bell(r)
 
     def describe(self) -> dict:
         return {"family": "gaussian", "delta": self.delta, "kappa": self.kappa}
@@ -191,33 +182,29 @@ class CurvePowerProfile(RadialProfile):
         return fr.c1 / a, fr.dc1 / a, fr.ddc1 / a, fr.dddc1 / a
 
     def value(self, r):
-        arr, scalar = _batch(r)
-        u = self.curve.c1(arr) / self.curve.spec.a
-        return _unbatch(self.delta + (1.0 - self.delta) * u**self.p, scalar)
+        u = self.curve.c1(r) / self.curve.spec.a
+        return self.delta + (1.0 - self.delta) * u**self.p
 
     def d1(self, r):
-        arr, scalar = _batch(r)
-        u, du, _, _ = self._parts(arr)
+        u, du, _, _ = self._parts(r)
         p = self.p
-        return _unbatch((1.0 - self.delta) * p * u ** (p - 1.0) * du, scalar)
+        return (1.0 - self.delta) * p * u ** (p - 1.0) * du
 
     def d2(self, r):
-        arr, scalar = _batch(r)
-        u, du, ddu, _ = self._parts(arr)
+        u, du, ddu, _ = self._parts(r)
         p = self.p
         core = (p - 1.0) * u ** (p - 2.0) * du * du + u ** (p - 1.0) * ddu
-        return _unbatch((1.0 - self.delta) * p * core, scalar)
+        return (1.0 - self.delta) * p * core
 
     def d3(self, r):
-        arr, scalar = _batch(r)
-        u, du, ddu, dddu = self._parts(arr)
+        u, du, ddu, dddu = self._parts(r)
         p = self.p
         core = (
             (p - 1.0) * (p - 2.0) * u ** (p - 3.0) * du**3
             + 3.0 * (p - 1.0) * u ** (p - 2.0) * du * ddu
             + u ** (p - 1.0) * dddu
         )
-        return _unbatch((1.0 - self.delta) * p * core, scalar)
+        return (1.0 - self.delta) * p * core
 
     def describe(self) -> dict:
         return {
@@ -264,37 +251,26 @@ class PlateauProfile(RadialProfile):
         self._span = self.edge_fraction * self.half_width
         self.joins = (-self.half_width, -self._start, self._start, self.half_width)
 
-    def _pieces(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = (np.abs(arr) - self._start) / self._span
+    def _pieces(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = (np.abs(r) - self._start) / self._span
         inside = (t > 0.0) & (t < 1.0)
         return np.clip(t, 0.0, 1.0), inside
 
     def value(self, r):
-        arr, scalar = _batch(r)
-        t, _ = self._pieces(arr)
-        return _unbatch(1.0 - _smoothstep(t, 0), scalar)
+        t, _ = self._pieces(r)
+        return 1.0 - _smoothstep(t, 0)
 
     def d1(self, r):
-        arr, scalar = _batch(r)
-        t, inside = self._pieces(arr)
-        out = np.where(
-            inside, -_smoothstep(t, 1) * np.sign(arr) / self._span, 0.0
-        )
-        return _unbatch(out, scalar)
+        t, inside = self._pieces(r)
+        return np.where(inside, -_smoothstep(t, 1) * np.sign(r) / self._span, 0.0)
 
     def d2(self, r):
-        arr, scalar = _batch(r)
-        t, inside = self._pieces(arr)
-        out = np.where(inside, -_smoothstep(t, 2) / self._span**2, 0.0)
-        return _unbatch(out, scalar)
+        t, inside = self._pieces(r)
+        return np.where(inside, -_smoothstep(t, 2) / self._span**2, 0.0)
 
     def d3(self, r):
-        arr, scalar = _batch(r)
-        t, inside = self._pieces(arr)
-        out = np.where(
-            inside, -_smoothstep(t, 3) * np.sign(arr) / self._span**3, 0.0
-        )
-        return _unbatch(out, scalar)
+        t, inside = self._pieces(r)
+        return np.where(inside, -_smoothstep(t, 3) * np.sign(r) / self._span**3, 0.0)
 
     def describe(self) -> dict:
         return {
@@ -359,34 +335,29 @@ class HelmholtzProfile(RadialProfile):
         self._f = CubicHermiteSpline(radii, f_nodes, df_nodes)
         self._df = CubicHermiteSpline(radii, df_nodes, ddf_nodes)
 
-    def _fold(self, arr: np.ndarray) -> np.ndarray:
-        return np.minimum(np.abs(arr), self.curve.r_b)
+    def _fold(self, r: np.ndarray) -> np.ndarray:
+        return np.minimum(np.abs(r), self.curve.r_b)
 
     def value(self, r):
-        arr, scalar = _batch(r)
-        return _unbatch(np.asarray(self._f(self._fold(arr))), scalar)
+        return self._f(self._fold(r))
 
     def d1(self, r):
-        arr, scalar = _batch(r)
-        out = np.sign(arr) * np.asarray(self._df(self._fold(arr)))
-        return _unbatch(out, scalar)
+        return np.sign(r) * self._df(self._fold(r))
 
     def d2(self, r):
-        arr, scalar = _batch(r)
-        fr = self.curve.frame(arr)
-        f = np.asarray(self._f(self._fold(arr)))
-        df = np.sign(arr) * np.asarray(self._df(self._fold(arr)))
-        return _unbatch((fr.dc1 / fr.c1) * df - self.rate * f, scalar)
+        fr = self.curve.frame(r)
+        f = self._f(self._fold(r))
+        df = np.sign(r) * self._df(self._fold(r))
+        return (fr.dc1 / fr.c1) * df - self.rate * f
 
     def d3(self, r):
-        arr, scalar = _batch(r)
-        fr = self.curve.frame(arr)
+        fr = self.curve.frame(r)
         slope = fr.dc1 / fr.c1
-        f = np.asarray(self._f(self._fold(arr)))
-        df = np.sign(arr) * np.asarray(self._df(self._fold(arr)))
+        f = self._f(self._fold(r))
+        df = np.sign(r) * self._df(self._fold(r))
         ddf = slope * df - self.rate * f
         dslope = fr.ddc1 / fr.c1 - slope * slope
-        return _unbatch(dslope * df + slope * ddf - self.rate * df, scalar)
+        return dslope * df + slope * ddf - self.rate * df
 
     def describe(self) -> dict:
         return {

@@ -23,8 +23,6 @@ __all__ = [
     "jsonify",
     "pretty_json",
     "render_csv",
-    "write_csv",
-    "write_json",
 ]
 
 
@@ -113,19 +111,3 @@ def render_csv(
             )
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(
-    path: str,
-    columns: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-    config: Any | None = None,
-) -> None:
-    text = render_csv(columns, rows, config)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def write_json(path: str, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(pretty_json(obj))

@@ -208,22 +208,15 @@ def lambda1_mode(curve: ProfileCurve, m: int, n: int = 2048) -> EigenEstimate:
     )
 
 
-def lambda1(
-    curve: ProfileCurve, *, n: int = 2048, max_mode: int = 64, bc: str = "dirichlet"
-) -> Lambda1Result:
+def lambda1(curve: ProfileCurve, *, n: int = 2048, max_mode: int = 64) -> Lambda1Result:
     """Scan Fourier modes for the global first eigenvalue of -Laplacian.
 
     The per-mode value increases with m (the m^2/c1 term only adds), so
     the scan stops at the first mode that does not fall below the running
     minimum; on thin or very wide bands neighbouring modes can tie to the
-    last digit, and no later mode can then be lower.
-    Only the Dirichlet convention is implemented; the parameter exists so
-    the choice is explicit at call sites.
+    last digit, and no later mode can then be lower.  The boundary
+    condition is Dirichlet (see the module docstring).
     """
-    if bc != "dirichlet":
-        raise ValueError(
-            f"only the dirichlet boundary condition is implemented, got {bc!r}"
-        )
     modes: list[EigenEstimate] = []
     best: EigenEstimate | None = None
     for m in range(max_mode + 1):
@@ -263,7 +256,7 @@ def check_arnold(
         raise ValueError(f"safety must lie in [0, 1), got {safety}")
     lam = lambda_result if lambda_result is not None else lambda1(curve, n=eigen_n)
     radii = np.linspace(-curve.r_b, curve.r_b, grid_n)
-    slope = np.asarray(fprime_from_f(f, curve, radii), dtype=float)
+    slope = fprime_from_f(f, curve, radii)
     fprime_min = float(np.min(slope))
     fprime_max = float(np.max(slope))
     floor = -lam.value * (1.0 - safety)
@@ -301,8 +294,8 @@ def profile_conditions(
     if n < 16:
         raise ValueError(f"need at least 16 samples, got {n}")
     half = np.linspace(0.0, curve.r_b, n)
-    right = np.asarray(f.value(half), dtype=float)
-    left = np.asarray(f.value(-half), dtype=float)
+    right = f.value(half)
+    left = f.value(-half)
     c1 = curve.c1(half)
 
     positive = bool(np.min(right) > 0.0 and np.min(left) > 0.0)

@@ -14,6 +14,7 @@ near-miss and the quantity that blocked it.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -106,22 +107,10 @@ class WitnessSearchConfig:
     workers: int = 4
 
     def describe(self) -> dict:
+        """Every field, tuples as lists, for provenance records."""
         return {
-            "families": list(self.families),
-            "p_grid": list(self.p_grid),
-            "delta_grid": list(self.delta_grid),
-            "decay_targets": list(self.decay_targets),
-            "slope_fractions": list(self.slope_fractions),
-            "w_count": self.w_count,
-            "w_lo": self.w_lo,
-            "w_hi": self.w_hi,
-            "w_tol": self.w_tol,
-            "rho": self.rho,
-            "safety": self.safety,
-            "fprime_grid": self.fprime_grid,
-            "eigen_grid": self.eigen_grid,
-            "mc_rel_tol": self.mc_rel_tol,
-            "workers": self.workers,
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in dataclasses.asdict(self).items()
         }
 
 
@@ -183,42 +172,31 @@ def _candidate_profiles(
     out: list[tuple[str, dict, RadialProfile]] = []
     for family in config.families:
         if family == "power":
-            for p in config.p_grid:
-                for delta in config.delta_grid:
-                    out.append(
-                        (
-                            "power",
-                            {"p": float(p), "delta": float(delta)},
-                            CurvePowerProfile(curve, p, delta),
-                        )
-                    )
+            grid = [
+                {"p": float(p), "delta": float(delta)}
+                for p in config.p_grid
+                for delta in config.delta_grid
+            ]
         elif family == "gaussian":
-            for target in config.decay_targets:
-                kappa = math.log(1.0 / target) / curve.r_b**2
-                for delta in config.delta_grid:
-                    out.append(
-                        (
-                            "gaussian",
-                            {
-                                "kappa": kappa,
-                                "delta": float(delta),
-                                "edge_decay": float(target),
-                            },
-                            GaussianProfile(delta, kappa),
-                        )
-                    )
+            grid = [
+                {
+                    "kappa": math.log(1.0 / target) / curve.r_b**2,
+                    "delta": float(delta),
+                    "edge_decay": float(target),
+                }
+                for target in config.decay_targets
+                for delta in config.delta_grid
+            ]
         elif family == "helmholtz":
-            for fraction in config.slope_fractions:
-                rate = fraction * lam.value
-                out.append(
-                    (
-                        "helmholtz",
-                        {"rate": rate, "fraction": float(fraction)},
-                        HelmholtzProfile(curve, rate),
-                    )
-                )
+            grid = [
+                {"rate": fraction * lam.value, "fraction": float(fraction)}
+                for fraction in config.slope_fractions
+            ]
         else:
             raise ValueError(f"unknown profile family {family!r}")
+        out.extend(
+            (family, params, _profile_from_params(curve, family, params)) for params in grid
+        )
     return out
 
 
@@ -275,7 +253,7 @@ def _evaluate_candidate(
     config: WitnessSearchConfig,
 ) -> CandidateOutcome:
     probe = np.linspace(-curve.r_b, curve.r_b, 512)
-    if float(np.min(np.asarray(f.value(probe), dtype=float))) <= 1e-12:
+    if float(np.min(f.value(probe))) <= 1e-12:
         return CandidateOutcome(
             order=order,
             family=family,
@@ -324,6 +302,24 @@ _NOT_FOUND_NOTE = (
 )
 
 
+def _empty_result(
+    spec: SurfaceSpec, verdict: str, implication: str, diagnostics: dict
+) -> WitnessResult:
+    """A result that names no candidate: nothing found, or a failed cell."""
+    return WitnessResult(
+        spec=spec,
+        verdict=verdict,
+        family=None,
+        f_params=None,
+        w=None,
+        stability=None,
+        conditions=None,
+        mc_results=(),
+        implication=implication,
+        diagnostics=diagnostics,
+    )
+
+
 def _agreement(x: MCResult, y: MCResult) -> bool:
     scale = max(abs(x.value), abs(y.value))
     return abs(x.value - y.value) <= max(1e-8, 1e-5 * scale)
@@ -344,21 +340,6 @@ def find_witness(
     curve = solve_profile(spec)
     lam = lambda1(curve, n=config.eigen_grid)
     candidates = _candidate_profiles(curve, lam, config)
-
-    if not candidates:
-        return WitnessResult(
-            spec=spec,
-            verdict=_NOT_FOUND,
-            family=None,
-            f_params=None,
-            w=None,
-            stability=None,
-            conditions=None,
-            mc_results=(),
-            implication=_NOT_FOUND_NOTE,
-            diagnostics={"candidates_examined": 0, "candidates": []},
-        )
-
     outcomes = [
         _evaluate_candidate(order, family, params, f, curve, lam, config)
         for order, (family, params, f) in enumerate(candidates)
@@ -382,18 +363,7 @@ def find_witness(
     }
 
     if best is None:
-        return WitnessResult(
-            spec=spec,
-            verdict=_NOT_FOUND,
-            family=None,
-            f_params=None,
-            w=None,
-            stability=None,
-            conditions=None,
-            mc_results=(),
-            implication=_NOT_FOUND_NOTE,
-            diagnostics=diagnostics,
-        )
+        return _empty_result(spec, _NOT_FOUND, _NOT_FOUND_NOTE, diagnostics)
 
     # rebuild the winner and re-verify, from its serialized parameters only
     f = _profile_from_params(curve, best.family, best.params)
@@ -501,18 +471,7 @@ def sweep(
             spec = object.__new__(SurfaceSpec)
             object.__setattr__(spec, "a", a)
             object.__setattr__(spec, "b", b)
-            return WitnessResult(
-                spec=spec,
-                verdict="error",
-                family=None,
-                f_params=None,
-                w=None,
-                stability=None,
-                conditions=None,
-                mc_results=(),
-                implication=str(exc),
-                diagnostics={"error": str(exc)},
-            )
+            return _empty_result(spec, "error", str(exc), {"error": str(exc)})
 
     workers = max(1, config.workers)
     if workers == 1 or len(pairs) == 1:

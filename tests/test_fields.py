@@ -16,9 +16,13 @@ from bandflow import (
     DivisionNearZero,
     GaussianProfile,
     HelmholtzProfile,
+    PlateauProfile,
+    PolynomialProfile,
+    RadialProfile,
     StreamFunction,
     VectorField,
     ZonalVelocityProfile,
+    curvature_defect,
     divergence,
     fprime_from_f,
     fprime_from_psi,
@@ -148,3 +152,63 @@ def test_radial_table_layout(band):
     assert table.shape == (11, len(FIELD_COLUMNS))
     assert np.array_equal(table[:, 0], radii)
     assert np.allclose(table[:, 1], np.asarray(f.value(radii)))
+
+
+class _ArrayOnly(RadialProfile):
+    """Written for arrays only; the base class must supply scalar support."""
+
+    def value(self, r):
+        return np.full(r.shape, 2.0)
+
+    d1 = d2 = d3 = value
+
+    def describe(self):
+        return {"family": "array-only"}
+
+
+def _radial_evaluators(curve):
+    lam = lambda1(curve).value
+    f = CurvePowerProfile(curve, 6.0, 1e-3)
+    psi = StreamFunction(f, curve)
+    plateau = PlateauProfile(curve.r_b, 0.3)
+    profiles = {
+        "constant": ConstantProfile(1.5),
+        "polynomial": PolynomialProfile([1.0, 0.5, -2.0, 0.25]),
+        "gaussian": GaussianProfile(1e-2, 3.0),
+        "power": f,
+        "plateau": plateau,
+        "helmholtz": HelmholtzProfile(curve, 0.85 * lam),
+        "sum": plateau + f,
+        "product": 3.0 * plateau,
+        "stream": psi,
+        "zonal-velocity": ZonalVelocityProfile(f, curve),
+        "array-only": _ArrayOnly(),
+    }
+    out = {}
+    for name, profile in profiles.items():
+        for method in ("value", "d1", "d2", "d3"):
+            out[f"{name}.{method}"] = getattr(profile, method)
+    for name in ("c1", "c2", "dc1", "dc2", "ddc1", "ddc2", "dddc1", "dlog_c1"):
+        out[f"curve.{name}"] = getattr(curve, name)
+    out["fprime_numerator"] = lambda r: fprime_numerator(f, curve, r)
+    out["fprime_from_f"] = lambda r: fprime_from_f(f, curve, r)
+    out["fprime_from_psi"] = lambda r: fprime_from_psi(psi, r)
+    out["fprime_ratio"] = lambda r: fprime_ratio(psi, r)
+    out["radial_laplacian"] = lambda r: radial_laplacian(f, curve, r)
+    out["curvature_defect"] = lambda r: curvature_defect(curve, r)
+    return out
+
+
+def test_scalar_and_array_convention(band):
+    radii = np.array([-0.8, -0.35, 0.2, 0.6]) * band.r_b
+    for name, evaluate in _radial_evaluators(band).items():
+        row = evaluate(radii)
+        assert row.shape == radii.shape, name
+        for k, radius in enumerate(radii):
+            got = evaluate(float(radius))
+            assert type(got) is float, name
+            assert got == row[k], name
+        column = evaluate(radii[:, None])
+        assert column.shape == (radii.size, 1), name
+        assert np.array_equal(column[:, 0], row), name
+    assert _ArrayOnly().value(0.3) == 2.0

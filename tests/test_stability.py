@@ -112,8 +112,6 @@ def test_eigen_solver_validation(band):
         lambda1_mode(band, -1)
     with pytest.raises(ValueError):
         lambda1_mode(band, 0, n=8)
-    with pytest.raises(ValueError):
-        lambda1(band, bc="neumann")
 
 
 def _smallest_of_dense_pencil(curve, m, n):
