@@ -8,8 +8,13 @@ class BandflowError(Exception):
 class EventNotReached(BandflowError):
     """The profile integration never attained the requested height.
 
-    Signals integration blow-up or an inconsistent surface description;
-    cannot happen for a validated surface.
+    Signals integration blow-up or an inconsistent surface description.
+    A validated surface can raise it too: SurfaceSpec(1.0, 0.999) does.
+    At a = 1 the meridian is a circle through the pole, where c2 - b is
+    positive only on a short arc around the top; a solver step can jump
+    over that whole arc, so c2 - b never changes sign at a step end and
+    the event is missed.  Covering such inputs is open work (ROADMAP.md,
+    item 5).
     """
 
 

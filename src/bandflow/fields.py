@@ -199,6 +199,8 @@ class VectorField(ABC):
     Fields of the form radial(r) x trig(m theta) get all seven from one
     radial method by deriving from SeparableField.  Every method accepts
     broadcastable (r, theta) arrays and returns their broadcast shape.
+    Callers only read the arrays returned, so a method may return a
+    read-only broadcast view, or the same array as another method.
     """
 
     def __init__(self, curve: ProfileCurve):
@@ -243,12 +245,18 @@ class SeparableField(VectorField):
     factors are evaluated on r in the shape it arrives in and meet theta
     only in the final product, so a column of n radii against a row of
     angles costs n radial evaluations, not one per (r, theta) cell.
+
+    The last radii and their factors are kept, so the several component
+    calls a curvature density makes on one node column evaluate radial()
+    once.  The memo is keyed on the values of r, not on the array object,
+    so an array refilled in place misses it.
     """
 
     def __init__(self, curve: ProfileCurve, *, harmonic: int = 1, phase: float = 0.0):
         super().__init__(curve)
         self.harmonic = int(harmonic)
         self.phase = float(phase)
+        self._memo: tuple[np.ndarray, tuple] | None = None
 
     @abstractmethod
     def radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,9 +264,13 @@ class SeparableField(VectorField):
 
     def _factors(self, r, theta):
         r = np.asarray(r, dtype=float)
-        p, dp, q = (np.reshape(x, r.shape) for x in self.radial(r))
+        # one read of the slot: a thread that misses computes its own factors
+        memo = self._memo
+        if memo is None or not np.array_equal(memo[0], r):
+            factors = tuple(np.reshape(x, r.shape) for x in self.radial(r))
+            memo = self._memo = (r.copy(), factors)
         angle = self.harmonic * np.asarray(theta, dtype=float) + self.phase
-        return p, dp, q, angle
+        return (*memo[1], angle)
 
     def u1(self, r, theta) -> np.ndarray:
         p, _, _, angle = self._factors(r, theta)

@@ -171,19 +171,21 @@ class ProfileCurve:
             f"r_b={self.r_b:.12g}, nodes={self._radii.size})"
         )
 
-    def _base(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _fold(self, r) -> tuple[np.ndarray, np.ndarray]:
+        """r as an array of at least one dimension, and |r| for the splines."""
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(np.abs(rr) > self.r_b * (1.0 + 1e-12)):
             worst = float(np.max(np.abs(rr)))
             raise ValueError(
                 f"query radius {worst:.17g} outside the band [-{self.r_b:.17g}, {self.r_b:.17g}]"
             )
-        folded = np.minimum(np.abs(rr), self.r_b)
-        return rr, self._c1(folded), np.sign(rr) * self._c2(folded)
+        return rr, np.minimum(np.abs(rr), self.r_b)
 
     def frame(self, r) -> ProfileFrame:
         """Evaluate the full derivative chain at r (scalar or array)."""
-        rr, c1, c2 = self._base(r)
+        rr, folded = self._fold(r)
+        c1 = self._c1(folded)
+        c2 = np.sign(rr) * self._c2(folded)
         a2 = self.spec.a ** 2
         a4 = a2 * a2
         s = np.sqrt(c1 * c1 + a4 * c2 * c2)
@@ -201,10 +203,11 @@ class ProfileCurve:
         )
 
     def c1(self, r) -> float | np.ndarray:
-        return _like(self._base(r)[1], r)
+        return _like(self._c1(self._fold(r)[1]), r)
 
     def c2(self, r) -> float | np.ndarray:
-        return _like(self._base(r)[2], r)
+        rr, folded = self._fold(r)
+        return _like(np.sign(rr) * self._c2(folded), r)
 
     def dc1(self, r) -> float | np.ndarray:
         return _like(self.frame(r).dc1, r)

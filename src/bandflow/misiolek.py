@@ -279,12 +279,19 @@ def mc_reduced(
         fv = F.value(r)
         rr = r[:, None]
         tt = thetas[None, :]
-        w1 = W.u1(rr, tt)
-        dw1_dth = W.du1_dtheta(rr, tt)
-        dw1_dr = W.du1_dr(rr, tt)
         c1 = fr.c1[:, None]
         sharpness = (fr.dc1**2 - fr.c1 * fr.ddc1)[:, None]
-        cell = -dw1_dth**2 - c1**2 * dw1_dr**2 + sharpness * w1**2
+        # -dw1_dth^2 - c1^2 dw1_dr^2 + sharpness w1^2 in two owned buffers;
+        # arrays the field returns are only read
+        cell, term = np.empty((2, r.size, n_theta))
+        np.square(W.du1_dtheta(rr, tt), out=cell)
+        np.negative(cell, out=cell)
+        np.square(W.du1_dr(rr, tt), out=term)
+        term *= c1**2
+        cell -= term
+        np.square(W.u1(rr, tt), out=term)
+        term *= sharpness
+        cell += term
         return (fv**2 * fr.c1) * cell.sum(axis=1) * weight
 
     return _radial_mc("reduced-2d", density, curve, rel_tol, n_theta)
@@ -323,24 +330,42 @@ def mc_direct(
         rr = r[:, None]
         tt = thetas[None, :]
 
+        # three owned (r, theta) buffers carry the pairing; arrays the field
+        # returns are only read.  The bracket [Z, W] has components
+        # b1 = F dw1/dtheta and b2 = F dw2/dtheta - F' w1.
+        acc, b2, term = np.empty((3, r.size, n_theta))
         w1 = W.u1(rr, tt)
-        w2 = W.u2(rr, tt)
-        # b1 = big_f dw1/dtheta, scaled in place once db2 has read dw1/dtheta
-        b1 = W.du1_dtheta(rr, tt)
-        db2_dth = big_f * W.d2u2_dtheta2(rr, tt) - big_f_dot * b1
-        b1 *= big_f
-        b2 = big_f * W.du2_dtheta(rr, tt) - big_f_dot * w1
-        db1_dth = big_f * W.d2u1_dtheta2(rr, tt)
-
-        nabla_z_br = big_f * (db1_dth + gamma_r * b2)
-        nabla_z_bth = big_f * (db2_dth + gamma_th * b1)
-        nabla_b_zr = big_f * gamma_r * b2
-        nabla_b_zth = b1 * (big_f_dot + big_f * gamma_th)
-
-        paired = (nabla_z_br + nabla_b_zr) * w1 + c1**2 * (
-            nabla_z_bth + nabla_b_zth
-        ) * w2
-        return (paired * c1).sum(axis=1) * weight
+        np.multiply(big_f, W.du2_dtheta(rr, tt), out=b2)
+        np.multiply(big_f_dot, w1, out=acc)
+        b2 -= acc
+        # radial: F (db1/dtheta + gamma_r b2) + F gamma_r b2, paired with w1
+        np.multiply(gamma_r, b2, out=acc)
+        np.multiply(big_f, W.d2u1_dtheta2(rr, tt), out=term)
+        acc += term
+        acc *= big_f
+        np.multiply(big_f * gamma_r, b2, out=term)
+        acc += term
+        acc *= w1
+        del w1
+        # angular: F (db2/dtheta + gamma_th b1) + b1 (F' + F gamma_th), in
+        # b2's buffer; b1 is rebuilt from dw1/dtheta each time it is read
+        dw1_dth = W.du1_dtheta(rr, tt)
+        ang = np.multiply(big_f, W.d2u2_dtheta2(rr, tt), out=b2)
+        np.multiply(big_f_dot, dw1_dth, out=term)
+        ang -= term
+        np.multiply(big_f, dw1_dth, out=term)
+        term *= gamma_th
+        ang += term
+        ang *= big_f
+        np.multiply(big_f, dw1_dth, out=term)
+        del dw1_dth
+        term *= big_f_dot + big_f * gamma_th
+        ang += term
+        ang *= c1**2
+        ang *= W.u2(rr, tt)
+        acc += ang
+        acc *= c1
+        return acc.sum(axis=1) * weight
 
     return _radial_mc("direct-geometric", density, curve, rel_tol, n_theta)
 

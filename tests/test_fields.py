@@ -20,6 +20,7 @@ from bandflow import (
     PolynomialProfile,
     RadialProfile,
     StreamFunction,
+    StreamPotentialField,
     VectorField,
     ZonalVelocityProfile,
     curvature_defect,
@@ -118,6 +119,76 @@ def test_zonal_field_is_divergence_free(band, rng):
     assert np.max(np.abs(div)) == 0.0
     assert np.all(np.asarray(field.u1(r[:, None], theta[None, :])) == 0.0)
     assert field.is_boundary_tangent()
+
+
+class _CountedStream(StreamPotentialField):
+    """A stream field that counts its radial() evaluations."""
+
+    calls = 0
+
+    def radial(self, r):
+        self.calls += 1
+        return super().radial(r)
+
+
+def _tangent_stream(r_b):
+    # (r_b^2 - r^2)^2: vanishes at both boundary circles
+    return PolynomialProfile((r_b**4, 0.0, -2.0 * r_b**2, 0.0, 1.0))
+
+
+def test_separable_memo_is_keyed_on_the_radii(band):
+    field = _CountedStream(band, _tangent_stream(band.r_b), harmonic=2, phase=0.3)
+    fresh = StreamPotentialField(band, _tangent_stream(band.r_b), harmonic=2, phase=0.3)
+    theta = np.linspace(-3.0, 3.0, 7)[None, :]
+    r = np.linspace(-0.9, 0.9, 5)[:, None] * band.r_b
+
+    def check(radii, calls):
+        for name in ("u1", "u2", "du1_dr", "du1_dtheta", "du2_dtheta"):
+            assert np.array_equal(getattr(field, name)(radii, theta), getattr(fresh, name)(radii, theta))
+        assert field.calls == calls
+
+    check(r, 1)
+    # a new array with the same radii is served from the memo
+    check(r.copy(), 1)
+    # a new array with other radii misses it, and so does one refilled in place
+    other = 0.5 * r
+    check(other, 2)
+    other += 0.01
+    check(other, 3)
+    check(r[:3], 4)
+
+
+def test_separable_memo_shared_across_threads(band):
+    import sys
+    import threading
+
+    field = StreamPotentialField(band, _tangent_stream(band.r_b), harmonic=3)
+    theta = np.linspace(-3.0, 3.0, 16)[None, :]
+    grids = [np.linspace(-0.9, 0.9, 8)[:, None] * band.r_b * s for s in (1.0, 0.7, 0.4, 0.1)]
+    want = [(field.u1(r, theta).copy(), field.du1_dr(r, theta).copy()) for r in grids]
+    wrong = []
+
+    def worker(k):
+        for _ in range(300):
+            r = grids[k]
+            if not (
+                np.array_equal(field.u1(r, theta), want[k][0])
+                and np.array_equal(field.du1_dr(r, theta), want[k][1])
+            ):
+                wrong.append(k)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(grids))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 class _RadialSpray(VectorField):

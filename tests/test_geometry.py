@@ -119,9 +119,18 @@ def test_connection_on_sphere(sphere):
     assert math.isclose(float(sym.theta_r_theta), -math.tan(math.pi / 6.0), rel_tol=1e-9)
 
 
+def test_accessors_read_the_frame_values(band, rng):
+    r = np.concatenate([rng.uniform(-band.r_b, band.r_b, 50), [0.0, -band.r_b, band.r_b]])
+    fr = band.frame(r)
+    assert np.array_equal(band.c1(r), fr.c1)
+    assert np.array_equal(band.c2(r), fr.c2)
+    assert band.c2(float(r[0])) == fr.c2[0]
+
+
 def test_domain_guard(band):
-    with pytest.raises(ValueError):
-        band.c1(band.r_b * 1.01)
+    for accessor in (band.c1, band.c2, band.frame):
+        with pytest.raises(ValueError):
+            accessor(band.r_b * 1.01)
 
 
 def test_profile_table_layout(band):

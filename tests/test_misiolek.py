@@ -420,3 +420,191 @@ def test_helmholtz_at_the_m1_eigenvalue_has_ratio_one(a, b):
     assert all(e > 0.0 for e in excess)
     for coarse, fine in zip(excess, excess[1:]):
         assert 3.9 <= coarse / fine <= 4.1
+
+
+# ------------------------------------------- the 2-d densities' arithmetic
+
+
+def _reference_reduced_density(F, W, n_theta=256):
+    """The reduced density in expression form: one temporary per operation."""
+    curve = W.curve
+    thetas = -math.pi + 2.0 * math.pi * np.arange(n_theta) / n_theta
+    weight = 2.0 * math.pi / n_theta
+
+    def density(r):
+        fr = curve.frame(r)
+        fv = F.value(r)
+        rr = r[:, None]
+        tt = thetas[None, :]
+        w1 = W.u1(rr, tt)
+        dw1_dth = W.du1_dtheta(rr, tt)
+        dw1_dr = W.du1_dr(rr, tt)
+        c1 = fr.c1[:, None]
+        sharpness = (fr.dc1**2 - fr.c1 * fr.ddc1)[:, None]
+        cell = -dw1_dth**2 - c1**2 * dw1_dr**2 + sharpness * w1**2
+        return (fv**2 * fr.c1) * cell.sum(axis=1) * weight
+
+    return density
+
+
+def _reference_direct_density(Z, W, n_theta=256):
+    """The direct density in expression form, every field output kept."""
+    curve = W.curve
+    coeff = Z.coefficient
+    thetas = -math.pi + 2.0 * math.pi * np.arange(n_theta) / n_theta
+    weight = 2.0 * math.pi / n_theta
+
+    def density(r):
+        fr = curve.frame(r)
+        big_f = coeff.value(r)[:, None]
+        big_f_dot = coeff.d1(r)[:, None]
+        gamma_r = (-fr.c1 * fr.dc1)[:, None]
+        gamma_th = (fr.dc1 / fr.c1)[:, None]
+        c1 = fr.c1[:, None]
+        rr = r[:, None]
+        tt = thetas[None, :]
+        w1 = W.u1(rr, tt)
+        w2 = W.u2(rr, tt)
+        dw1_dth = W.du1_dtheta(rr, tt)
+        b1 = big_f * dw1_dth
+        b2 = big_f * W.du2_dtheta(rr, tt) - big_f_dot * w1
+        db1_dth = big_f * W.d2u1_dtheta2(rr, tt)
+        db2_dth = big_f * W.d2u2_dtheta2(rr, tt) - big_f_dot * dw1_dth
+        nabla_z_br = big_f * (db1_dth + gamma_r * b2)
+        nabla_z_bth = big_f * (db2_dth + gamma_th * b1)
+        nabla_b_zr = big_f * gamma_r * b2
+        nabla_b_zth = b1 * (big_f_dot + big_f * gamma_th)
+        paired = (nabla_z_br + nabla_b_zr) * w1 + c1**2 * (
+            nabla_z_bth + nabla_b_zth
+        ) * w2
+        return (paired * c1).sum(axis=1) * weight
+
+    return density
+
+
+def _recording_quadrature(monkeypatch, on_call=None):
+    """Route misiolek's quadrature through a recorder of density calls.
+
+    Returns the list that collects one (r, density(r)) pair per call;
+    on_call(r) runs before each call.
+    """
+    from bandflow import misiolek, quadrature
+
+    calls = []
+    real = quadrature.adaptive_gauss_legendre
+
+    def quadrature(density, lo, hi, **options):
+        def recorded(r):
+            if on_call is not None:
+                on_call(r)
+            out = density(r)
+            calls.append((r.copy(), out.copy()))
+            return out
+
+        return real(recorded, lo, hi, **options)
+
+    monkeypatch.setattr(misiolek, "adaptive_gauss_legendre", quadrature)
+    return calls
+
+
+def _route_fields(band):
+    g = _even_vanishing_stream(band.r_b, (1.0, -0.4))
+    fields = [bump_field(PlateauProfile(band.r_b, 0.3), band)]
+    fields += [field_from_stream(g, band, harmonic=m, phase=0.7) for m in (1, 2, 3)]
+    return fields
+
+
+def test_two_d_densities_match_the_expression_form_exactly(band, monkeypatch):
+    f = CurvePowerProfile(band, 6.0, 1e-3)
+    big_f = ZonalVelocityProfile(f, band)
+    zonal = zonal_from_f(f, band)
+    grid = np.linspace(-band.r_b, band.r_b, 401)
+    for W in _route_fields(band):
+        for route, reference in (
+            (lambda: mc_reduced(big_f, W), _reference_reduced_density(big_f, W)),
+            (lambda: mc_direct(zonal, W), _reference_direct_density(zonal, W)),
+        ):
+            calls = _recording_quadrature(monkeypatch)
+            res = route()
+            # round 0 and every later round, then the sample table
+            assert len(calls) >= 1 and calls[0][0].size == 3 * 4 * 64
+            for r, got in calls:
+                assert np.array_equal(got, reference(r))
+            assert np.array_equal(res.samples[:, 0], grid)
+            assert np.array_equal(res.samples[:, 1], reference(grid))
+
+
+def test_two_d_densities_keep_few_round_arrays(band):
+    import tracemalloc
+
+    f = CurvePowerProfile(band, 6.0, 1e-3)
+    big_f = ZonalVelocityProfile(f, band)
+    zonal = zonal_from_f(f, band)
+    W = bump_field(PlateauProfile(band.r_b, 0.3), band)
+    # one (r, theta) array of round 0: 4 panels and their halves, 64 nodes each
+    unit = 3 * 4 * 64 * 256 * 8
+
+    def peak_units(route):
+        route()  # quadrature rules and lazy set-up are not counted
+        tracemalloc.start()
+        try:
+            route()
+            return tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+
+    assert peak_units(lambda: mc_direct(zonal, W)) <= 8.0
+    assert peak_units(lambda: mc_reduced(big_f, W)) <= 4.0
+
+
+def test_radial_factors_are_evaluated_once_per_round(band, monkeypatch):
+    f = CurvePowerProfile(band, 6.0, 1e-3)
+    big_f = ZonalVelocityProfile(f, band)
+    zonal = zonal_from_f(f, band)
+    for route in (lambda W: mc_reduced(big_f, W), lambda W: mc_direct(zonal, W)):
+        # fresh fields, so no round is served by another route's factors
+        for W in _route_fields(band):
+            rounds = [[]]  # radial sizes before the first density call, then per call
+            real_radial = W.radial
+
+            def counting(r, real_radial=real_radial, rounds=rounds):
+                rounds[-1].append(np.size(r))
+                return real_radial(r)
+
+            W.radial = counting
+            calls = _recording_quadrature(monkeypatch, lambda r: rounds.append([]))
+            route(W)
+            assert rounds[1:] == [[r.size] for r, _ in calls]
+
+
+class _ReadOnlyView(VectorField):
+    """Another field's components, each returned as a read-only view."""
+
+    def __init__(self, inner):
+        super().__init__(inner.curve)
+        self.inner = inner
+
+    def _view(name):
+        def component(self, r, theta):
+            out = getattr(self.inner, name)(r, theta)
+            return np.broadcast_to(out, out.shape)
+
+        return component
+
+    u1 = _view("u1")
+    u2 = _view("u2")
+    du1_dr = _view("du1_dr")
+    du1_dtheta = _view("du1_dtheta")
+    d2u1_dtheta2 = _view("d2u1_dtheta2")
+    du2_dtheta = _view("du2_dtheta")
+    d2u2_dtheta2 = _view("d2u2_dtheta2")
+
+
+def test_two_d_routes_only_read_field_arrays(band):
+    f = CurvePowerProfile(band, 6.0, 1e-3)
+    big_f = ZonalVelocityProfile(f, band)
+    zonal = zonal_from_f(f, band)
+    for W in _route_fields(band)[:2]:
+        view = _ReadOnlyView(W)
+        assert mc_reduced(big_f, view).value == mc_reduced(big_f, W).value
+        assert mc_direct(zonal, view).value == mc_direct(zonal, W).value
