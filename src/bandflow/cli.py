@@ -77,7 +77,6 @@ _DEFAULTS = {
         "tol": 1e-8,
         "out": None,
         "format": "csv",
-        "workers": 4,
     },
 }
 
@@ -149,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="witness search over a grid of bands")
     common(p, grid=True)
-    p.add_argument("--workers", type=int, help="concurrent cells")
+    # accepted and ignored: perfbench's sweep workload still passes it
+    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 
     return parser
 
@@ -343,10 +343,7 @@ def cmd_sweep(resolved: dict) -> str:
     b_values = _parse_grid(resolved["b"])
     resolved["a"] = a_values
     resolved["b"] = b_values
-    config = WitnessSearchConfig(
-        mc_rel_tol=float(resolved["tol"]),
-        workers=int(resolved["workers"]),
-    )
+    config = WitnessSearchConfig(mc_rel_tol=float(resolved["tol"]))
     resolved["search"] = config.describe()
     results = sweep(a_values, b_values, config)
     rows = [sweep_summary(r) for r in results]

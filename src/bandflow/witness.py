@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,8 +85,6 @@ class WitnessSearchConfig:
     The width parameter w of the bump is the fraction of the half-band
     used by the descent; it is line-searched after the coarse grid.  All
     grids are fixed tuples so identical configs replay identically.
-    workers is the number of cells `sweep` runs at once; one cell's
-    search always runs in a single thread.
     """
 
     families: tuple[str, ...] = ("power", "gaussian", "helmholtz")
@@ -104,7 +101,6 @@ class WitnessSearchConfig:
     fprime_grid: int = 1024
     eigen_grid: int = 2048
     mc_rel_tol: float = 1e-8
-    workers: int = 4
 
     def describe(self) -> dict:
         """Every field, tuples as lists, for provenance records."""
@@ -423,7 +419,12 @@ def _profile_from_params(
 
 
 def sweep_summary(result: WitnessResult) -> dict:
-    """Flatten one search outcome into the sweep's CSV row."""
+    """Flatten one search outcome into the sweep's CSV row.
+
+    mc_error is the formula route's radial-quadrature error at fixed f.
+    It leaves out the error of lambda1, which sets the Helmholtz rate and
+    moves mc_value about 10x amplified (ROADMAP item 1).
+    """
     row: dict = {
         "a": result.spec.a,
         "b": result.spec.b,
@@ -454,27 +455,20 @@ def sweep(
 ) -> list[WitnessResult]:
     """Run find_witness over the grid of (a, b) pairs, a-major order.
 
-    Cells run concurrently but are collected in grid order; a cell that
-    raises is recorded as an error verdict in its row instead of aborting
-    the remaining cells.
+    Cells run one after another; a cell that raises is recorded as an
+    error verdict in its row instead of aborting the remaining cells.
     """
-    pairs = [
-        (float(a), float(b)) for a in a_values for b in b_values
-    ]
-
-    def run_cell(pair: tuple[float, float]) -> WitnessResult:
-        a, b = pair
-        try:
-            return find_witness(SurfaceSpec(a, b), config)
-        except (BandflowError, ValueError) as exc:
-            # record the offending cell without re-tripping spec validation
-            spec = object.__new__(SurfaceSpec)
-            object.__setattr__(spec, "a", a)
-            object.__setattr__(spec, "b", b)
-            return _empty_result(spec, "error", str(exc), {"error": str(exc)})
-
-    workers = max(1, config.workers)
-    if workers == 1 or len(pairs) == 1:
-        return [run_cell(p) for p in pairs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_cell, pairs))
+    results = []
+    for a in map(float, a_values):
+        for b in map(float, b_values):
+            try:
+                results.append(find_witness(SurfaceSpec(a, b), config))
+            except (BandflowError, ValueError) as exc:
+                # record the offending cell without re-tripping spec validation
+                spec = object.__new__(SurfaceSpec)
+                object.__setattr__(spec, "a", a)
+                object.__setattr__(spec, "b", b)
+                results.append(
+                    _empty_result(spec, "error", str(exc), {"error": str(exc)})
+                )
+    return results

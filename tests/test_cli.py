@@ -111,6 +111,20 @@ def test_sweep_single_cell(capsys):
     assert lines[1].startswith("1,0.5,not-found")
 
 
+def test_sweep_workers_flag_is_accepted_and_ignored(capsys):
+    argv = ["sweep", "--a", "1.5", "--b", "0.5"]
+    outputs = [
+        _run(capsys, argv + extra)
+        for extra in (["--workers", "1"], ["--workers", "4"], [])
+    ]
+    assert all(code == 0 for code, _, _ in outputs)
+    texts = [out for _, out, _ in outputs]
+    assert texts[0] == texts[1] == texts[2]
+    config_line = next(ln for ln in texts[0].splitlines() if ln.startswith("# config:"))
+    assert "workers" not in config_line
+    assert any(ln.startswith("# config-sha256:") for ln in texts[0].splitlines())
+
+
 def test_invalid_geometry_is_a_clean_error(capsys):
     code, _, err = _run(capsys, ["profile", "--a", "0.5", "--b", "0.5"])
     assert code == 1

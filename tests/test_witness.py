@@ -1,5 +1,6 @@
 """End-to-end search behavior: determinism, diagnostics, honest verdicts."""
 import math
+import threading
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -51,12 +52,6 @@ def test_search_is_deterministic():
     assert first == second
 
 
-def test_worker_count_does_not_change_the_answer():
-    serial = find_witness(SurfaceSpec(2.0, 0.5), replace(SMALL, workers=1))
-    parallel = find_witness(SurfaceSpec(2.0, 0.5), replace(SMALL, workers=4))
-    assert canonical_json(jsonify(serial)) == canonical_json(jsonify(parallel))
-
-
 def test_sphere_yields_no_witness():
     res = find_witness(SurfaceSpec(1.0, 0.5), SMALL)
     assert res.verdict == "not-found"
@@ -75,13 +70,13 @@ def test_config_is_frozen_and_described():
         SMALL.w_count = 9
     desc = SMALL.describe()
     assert desc["families"] == ["power", "helmholtz"]
-    assert desc["workers"] == SMALL.workers
+    assert "workers" not in desc
 
 
 def test_sweep_row_matches_standalone_search():
     rows = sweep([2.0], [0.5], SMALL)
     assert len(rows) == 1
-    standalone = find_witness(SurfaceSpec(2.0, 0.5), replace(SMALL, workers=1))
+    standalone = find_witness(SurfaceSpec(2.0, 0.5), SMALL)
     assert canonical_json(jsonify(rows[0])) == canonical_json(jsonify(standalone))
 
 
@@ -90,6 +85,29 @@ def test_sweep_survives_a_bad_cell():
     assert len(rows) == 1
     assert rows[0].verdict == "error"
     assert "error" in rows[0].diagnostics
+
+
+def test_sweep_runs_cells_in_grid_order_on_the_calling_thread(monkeypatch):
+    calls = []
+    search = witness.find_witness
+
+    def recording(spec, config):
+        calls.append((spec.a, spec.b, threading.get_ident()))
+        return search(spec, config)
+
+    monkeypatch.setattr(witness, "find_witness", recording)
+    rows = sweep([0.5, 2.0], [0.3, 0.5], SMALL)
+    caller = threading.get_ident()
+    # SurfaceSpec refuses a=0.5 before the search is called, so only the
+    # a=2 cells reach it
+    assert calls == [(2.0, 0.3, caller), (2.0, 0.5, caller)]
+    assert [(r.spec.a, r.spec.b) for r in rows] == [
+        (0.5, 0.3),
+        (0.5, 0.5),
+        (2.0, 0.3),
+        (2.0, 0.5),
+    ]
+    assert [r.verdict for r in rows[:2]] == ["error", "error"]
 
 
 def test_sweep_summary_columns():
