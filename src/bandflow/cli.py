@@ -20,18 +20,13 @@ from .errors import BandflowError
 from .fields import ZonalVelocityProfile, zonal_from_f
 from .geometry import PROFILE_COLUMNS, SurfaceSpec, profile_table, solve_profile
 from .misiolek import bump_field, mc_bump_formula, mc_direct, mc_reduced
-from .profiles import (
-    ConstantProfile,
-    CurvePowerProfile,
-    GaussianProfile,
-    HelmholtzProfile,
-    PlateauProfile,
-)
+from .profiles import ConstantProfile, PlateauProfile
 from .serialize import config_digest, jsonify, pretty_json, render_csv
 from .stability import check_arnold, lambda1, profile_conditions
 from .witness import (
     SWEEP_COLUMNS,
     WitnessSearchConfig,
+    _profile_from_params,
     find_witness,
     sweep,
     sweep_summary,
@@ -193,28 +188,31 @@ def _json_payload(resolved: dict, body: dict) -> str:
 
 
 def _family_profile(resolved: dict, curve, lam_value: float | None):
-    """Build f from the resolved family parameters, normalizing them in place."""
+    """Build f from the resolved family parameters, normalizing them in place.
+
+    The witness search's family map builds the profile; the CLI adds only
+    the constant family, the default gaussian kappa (the bell falls to a
+    tenth at the band edge) and the helmholtz rate as a fraction of
+    lambda1.
+    """
     fam = resolved["family"]
+    if fam == "constant":
+        return ConstantProfile(1.0)
     if fam == "power":
         resolved["p"] = float(resolved["p"])
         resolved["delta"] = float(resolved["delta"])
-        return CurvePowerProfile(curve, resolved["p"], resolved["delta"])
-    if fam == "gaussian":
+    elif fam == "gaussian":
         kappa = resolved["kappa"]
         if kappa is None:
             kappa = math.log(10.0) / curve.r_b**2
         resolved["kappa"] = float(kappa)
         resolved["delta"] = float(resolved["delta"])
-        return GaussianProfile(resolved["delta"], resolved["kappa"])
-    if fam == "constant":
-        return ConstantProfile(1.0)
-    if fam == "helmholtz":
+    elif fam == "helmholtz":
         if lam_value is None:
             raise ValueError("helmholtz family needs the eigenvalue")
         resolved["fraction"] = float(resolved["fraction"])
         resolved["rate"] = resolved["fraction"] * lam_value
-        return HelmholtzProfile(curve, resolved["rate"])
-    raise ValueError(f"unknown profile family {fam!r}")
+    return _profile_from_params(curve, fam, resolved)
 
 
 def _surface(resolved: dict) -> SurfaceSpec:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +22,6 @@ from .profiles import RadialProfile
 from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
-    "FIELD_COLUMNS",
-    "HodgeCoefficients",
     "SeparableField",
     "StreamFunction",
     "VectorField",
@@ -35,46 +32,13 @@ __all__ = [
     "fprime_from_psi",
     "fprime_numerator",
     "fprime_ratio",
-    "hodge_star",
-    "radial_laplacian",
-    "radial_table",
     "zonal_from_f",
 ]
 
-FIELD_COLUMNS = ("r", "value", "d1", "d2", "d3")
-
 _NEAR_ZERO = 1e-14
-
-
-@dataclass(frozen=True)
-class HodgeCoefficients:
-    """Coefficients of the Hodge star on the coordinate bases at a point.
-
-    on_dr: theta-coefficient of star(partial_r), equal to -1/c1.
-    on_dtheta: r-coefficient of star(partial_theta), equal to c1.
-    on_form_dr: dtheta-coefficient of star(dr), equal to -c1.
-    on_form_dtheta: dr-coefficient of star(dtheta), equal to 1/c1.
-    """
-
-    on_dr: float | np.ndarray
-    on_dtheta: float | np.ndarray
-    on_form_dr: float | np.ndarray
-    on_form_dtheta: float | np.ndarray
-
-
-def hodge_star(curve: ProfileCurve, r) -> HodgeCoefficients:
-    """Hodge star coefficients at r; star of star is minus the identity."""
-    c1 = curve.c1(r)
-    return HodgeCoefficients(
-        on_dr=-1.0 / c1, on_dtheta=c1, on_form_dr=-c1, on_form_dtheta=1.0 / c1
-    )
-
-
-@_pointwise
-def radial_laplacian(phi: RadialProfile, curve: ProfileCurve, r) -> float | np.ndarray:
-    """Laplace-Beltrami of a radial function: phi'' + (dc1/c1) phi'."""
-    fr = curve.frame(r)
-    return phi.d2(r) + (fr.dc1 / fr.c1) * phi.d1(r)
+# largest |u1| on the boundary circles that still counts as tangent; the
+# curvature routes (misiolek) hold perturbation fields to the same bound
+_TANGENCY_TOL = 1e-10
 
 
 @_pointwise
@@ -107,10 +71,9 @@ class StreamFunction(RadialProfile):
     differencing.
     """
 
-    def __init__(self, f: RadialProfile, curve: ProfileCurve, *, tol: float = 1e-9):
+    def __init__(self, f: RadialProfile, curve: ProfileCurve):
         self.f = f
         self.curve = curve
-        self.tol = float(tol)
 
     def value(self, r):
         def integrand(x: np.ndarray) -> np.ndarray:
@@ -123,9 +86,9 @@ class StreamFunction(RadialProfile):
             result = adaptive_gauss_legendre(
                 integrand, 0.0, abs(radius), rel_tol=1e-10, abs_tol=1e-13
             )
-            if result.error > self.tol:
+            if result.error > 1e-9:
                 raise QuadratureFailure(
-                    f"stream quadrature error {result.error:.3e} exceeds {self.tol:.3e}"
+                    f"stream quadrature error {result.error:.3e} exceeds 1e-9"
                 )
             out.flat[i] = math.copysign(result.value, radius)
         return out
@@ -227,14 +190,14 @@ class VectorField(ABC):
     @abstractmethod
     def d2u2_dtheta2(self, r, theta) -> np.ndarray: ...
 
-    def is_boundary_tangent(self, *, tol: float = 1e-10, n_theta: int = 64) -> bool:
-        """Whether u1 vanishes on both boundary circles (sampled)."""
-        thetas = -math.pi + 2.0 * math.pi * np.arange(n_theta) / n_theta
+    def is_boundary_tangent(self) -> bool:
+        """Whether u1 vanishes on both boundary circles, at 64 angles each."""
+        thetas = -math.pi + 2.0 * math.pi * np.arange(64) / 64
         edge = np.array([-self.curve.r_b, self.curve.r_b])
         worst = float(
             np.max(np.abs(self.u1(edge[:, None], thetas[None, :])))
         )
-        return worst <= tol
+        return worst <= _TANGENCY_TOL
 
 
 class SeparableField(VectorField):
@@ -375,11 +338,3 @@ class ZonalField(SeparableField):
 def zonal_from_f(f: RadialProfile, curve: ProfileCurve) -> ZonalField:
     """The stationary zonal flow -f/c1^2 partial_theta generated by f."""
     return ZonalField(curve, ZonalVelocityProfile(f, curve))
-
-
-def radial_table(profile: RadialProfile, radii) -> np.ndarray:
-    """Rows of FIELD_COLUMNS for CSV export of a radial function."""
-    r = np.atleast_1d(np.asarray(radii, dtype=float))
-    return np.column_stack(
-        [r, profile.value(r), profile.d1(r), profile.d2(r), profile.d3(r)]
-    )

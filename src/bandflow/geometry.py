@@ -32,18 +32,21 @@ from .errors import (
 
 __all__ = [
     "PROFILE_COLUMNS",
-    "ChristoffelSymbols",
     "ProfileCurve",
     "ProfileFrame",
     "SurfaceSpec",
     "arc_length_from_height",
-    "connection",
     "curvature_defect",
     "profile_table",
     "solve_profile",
 ]
 
 PROFILE_COLUMNS = ("r", "c1", "c2", "dc1", "dc2", "ddc1", "epsilon")
+
+# DOP853 tolerances of every integration that carries the meridian: the
+# profile solve here and the Helmholtz build in profiles
+_RTOL = 1e-12
+_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -85,19 +88,6 @@ class ProfileFrame:
     dddc1: np.ndarray
 
 
-@dataclass(frozen=True)
-class ChristoffelSymbols:
-    """Nonzero Levi-Civita coefficients of dr^2 + c1^2 dtheta^2.
-
-    r_theta_theta is Gamma^r_{theta theta} = -c1 dc1; theta_r_theta is
-    Gamma^theta_{r theta} = dc1 / c1.  Every other coefficient vanishes or
-    follows by the lower-index symmetry.
-    """
-
-    r_theta_theta: float | np.ndarray
-    theta_r_theta: float | np.ndarray
-
-
 def _like(values: np.ndarray, r) -> float | np.ndarray:
     """values as a float when r was a scalar, otherwise unchanged."""
     return float(values[0]) if np.ndim(r) == 0 else values
@@ -136,8 +126,8 @@ class ProfileCurve:
         ddc1  = -a^2 (dc2 S - c2 Sdot) / S^2
         ddc2  = (dc1 S - c1 Sdot) / S^2
 
-    and one more derivative of ddc1 for the third order.  Instances are
-    safe to share across threads.
+    and one more derivative of ddc1 for the third order.  radii is the
+    node grid on [0, r_b].  Instances are safe to share across threads.
     """
 
     def __init__(
@@ -155,7 +145,7 @@ class ProfileCurve:
         s = np.sqrt(c1_nodes**2 + a4 * c2_nodes**2)
         self._c1 = CubicHermiteSpline(radii, c1_nodes, -a2 * c2_nodes / s)
         self._c2 = CubicHermiteSpline(radii, c2_nodes, c1_nodes / s)
-        self._radii = radii
+        self.radii = radii
 
     @property
     def a(self) -> float:
@@ -168,7 +158,7 @@ class ProfileCurve:
     def __repr__(self) -> str:
         return (
             f"ProfileCurve(a={self.spec.a:g}, b={self.spec.b:g}, "
-            f"r_b={self.r_b:.12g}, nodes={self._radii.size})"
+            f"r_b={self.r_b:.12g}, nodes={self.radii.size})"
         )
 
     def _fold(self, r) -> tuple[np.ndarray, np.ndarray]:
@@ -241,24 +231,16 @@ def meridian_slopes(c1: float, c2: float, a2: float, a4: float) -> tuple[float, 
     return -a2 * c2 / s, c1 / s
 
 
-def solve_profile(
-    spec: SurfaceSpec,
-    *,
-    step: float = 5e-4,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-) -> ProfileCurve:
+def solve_profile(spec: SurfaceSpec) -> ProfileCurve:
     """Integrate the profile system and package it as a ProfileCurve.
 
     The integration runs forward from the equator with a terminal event at
     height b; the event is root-refined on the dense output, and the node
-    grid (spacing <= step, at least 1001 points) stores values whose
+    grid (spacing <= 5e-4, at least 1001 points) stores values whose
     Hermite interpolation error sits far below the 1e-9 target.  Raises
     EventNotReached if the height never attains b and ToleranceFailure if
     the sampled curve drifts off the ellipse or misses the endpoint.
     """
-    if step <= 0.0 or rtol <= 0.0 or atol <= 0.0:
-        raise ValueError("step, rtol and atol must be positive")
     a, b = spec.a, spec.b
     a2, a4 = a * a, a**4
 
@@ -280,8 +262,8 @@ def solve_profile(
         (0.0, span),
         [a, 0.0],
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=_RTOL,
+        atol=_ATOL,
         dense_output=True,
         events=reach_height,
     )
@@ -292,15 +274,13 @@ def solve_profile(
     # the event locator already root-finds on the dense output to ~4 eps
     r_b = float(sol.t_events[0][0])
 
-    n = max(1001, math.ceil(r_b / step) + 1)
+    n = max(1001, math.ceil(r_b / 5e-4) + 1)
     radii = np.linspace(0.0, r_b, n)
     c1_nodes, c2_nodes = sol.sol(radii)
 
     ellipse_drift = float(np.max(np.abs(c1_nodes**2 + a2 * c2_nodes**2 - a2)))
     if ellipse_drift > 1e-8:
-        raise ToleranceFailure(
-            f"on-ellipse drift {ellipse_drift:.3e} exceeds 1e-8; tighten rtol/atol"
-        )
+        raise ToleranceFailure(f"on-ellipse drift {ellipse_drift:.3e} exceeds 1e-8")
     s = np.sqrt(c1_nodes**2 + a4 * c2_nodes**2)
     speed_drift = float(np.max(np.abs((a4 * c2_nodes**2 + c1_nodes**2) / s**2 - 1.0)))
     if speed_drift > 1e-8:
@@ -314,7 +294,7 @@ def solve_profile(
     return ProfileCurve(spec, r_b, radii, c1_nodes, c2_nodes)
 
 
-def arc_length_from_height(a: float, z: float, *, tol: float = 1e-10) -> float:
+def arc_length_from_height(a: float, z: float) -> float:
     """Meridian arc length from the equator to height z, odd in z.
 
     Integrates the closed-form speed sqrt(1 + a^2 t^2 / (1 - t^2)) of the
@@ -331,10 +311,8 @@ def arc_length_from_height(a: float, z: float, *, tol: float = 1e-10) -> float:
         return math.sqrt(1.0 + aa * t * t / (1.0 - t * t))
 
     value, estimate = quad(speed, 0.0, abs(z), epsabs=1e-13, epsrel=1e-13, limit=200)
-    if estimate > tol:
-        raise QuadratureFailure(
-            f"arc-length quadrature error {estimate:.3e} exceeds tol {tol:.3e}"
-        )
+    if estimate > 1e-10:
+        raise QuadratureFailure(f"arc-length quadrature error {estimate:.3e} exceeds 1e-10")
     return math.copysign(value, z)
 
 
@@ -351,15 +329,6 @@ def curvature_defect(curve: ProfileCurve, r) -> float | np.ndarray:
     if low < -1e-8:
         raise NegativeRadicand(f"defect radicand reached {low:.3e}, below -1e-8")
     return _like(np.sqrt(np.where(radicand < 0.0, 0.0, radicand)), r)
-
-
-def connection(curve: ProfileCurve, r) -> ChristoffelSymbols:
-    """Christoffel symbols of the band metric at r (scalar or array)."""
-    fr = curve.frame(r)
-    return ChristoffelSymbols(
-        r_theta_theta=_like(-fr.c1 * fr.dc1, r),
-        theta_r_theta=_like(fr.dc1 / fr.c1, r),
-    )
 
 
 def profile_table(curve: ProfileCurve, n: int = 201) -> np.ndarray:

@@ -22,14 +22,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryViolation, TangencyViolation
-from .fields import SeparableField, VectorField, ZonalField, divergence
+from .fields import _TANGENCY_TOL, SeparableField, VectorField, ZonalField, divergence
 from .geometry import ProfileCurve
 from .profiles import RadialProfile
 from .quadrature import adaptive_gauss_legendre
 from .stability import _pencil_smallest
 
 __all__ = [
-    "MC_METHODS",
     "BumpField",
     "MCResult",
     "StreamPotentialField",
@@ -41,10 +40,7 @@ __all__ = [
     "optimal_bump_ratio",
 ]
 
-MC_METHODS = ("formula-1d", "reduced-2d", "direct-geometric")
-
 _BUMP_EDGE_TOL = 1e-12
-_TANGENCY_TOL = 1e-10
 _DIVERGENCE_TOL = 1e-8
 _SAMPLE_POINTS = 401
 
@@ -241,13 +237,13 @@ def mc_bump_formula(
     )
 
 
-def _require_admissible(W: VectorField, n_probe: int = 12) -> None:
-    if not W.is_boundary_tangent(tol=_TANGENCY_TOL):
+def _require_admissible(W: VectorField) -> None:
+    if not W.is_boundary_tangent():
         raise TangencyViolation(
             "perturbation field does not vanish radially at the boundary circles"
         )
-    interior = np.linspace(-W.curve.r_b, W.curve.r_b, n_probe + 2)[1:-1]
-    thetas = _theta_nodes(n_probe)
+    interior = np.linspace(-W.curve.r_b, W.curve.r_b, 14)[1:-1]
+    thetas = _theta_nodes(12)
     worst = float(np.max(np.abs(divergence(W, interior[:, None], thetas[None, :]))))
     if worst > _DIVERGENCE_TOL:
         raise ValueError(

@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import ConvergenceFailure
-from .geometry import ProfileCurve, _pointwise, meridian_slopes
+from .geometry import _ATOL, _RTOL, ProfileCurve, _pointwise, meridian_slopes
 
 __all__ = [
     "ConstantProfile",
@@ -296,11 +296,11 @@ class HelmholtzProfile(RadialProfile):
     plain float arithmetic; reading it from the curve instead would cost
     a spline evaluation and the derivative chain at every solver stage,
     some twenty times the equation itself.  The curve is consulted once,
-    on the node grid.  Raises ConvergenceFailure when the integrator
+    on its own node grid.  Raises ConvergenceFailure when the integrator
     stops short of the band edge (a rate too large to resolve).
     """
 
-    def __init__(self, curve: ProfileCurve, rate: float, *, step: float = 5e-4):
+    def __init__(self, curve: ProfileCurve, rate: float):
         if not math.isfinite(rate) or rate == 0.0:
             raise ValueError(f"rate must be finite and nonzero, got {rate}")
         self.curve = curve
@@ -318,8 +318,8 @@ class HelmholtzProfile(RadialProfile):
             (0.0, curve.r_b),
             [curve.spec.a, 0.0, 1.0, 0.0],
             method="DOP853",
-            rtol=1e-12,
-            atol=1e-14,
+            rtol=_RTOL,
+            atol=_ATOL,
             dense_output=True,
         )
         if sol.status != 0:
@@ -327,8 +327,7 @@ class HelmholtzProfile(RadialProfile):
                 f"Helmholtz integration at rate {self.rate:.6g} stopped at "
                 f"r={sol.t[-1]:.6g} of {curve.r_b:.6g}: {sol.message}"
             )
-        n = max(1001, math.ceil(curve.r_b / step) + 1)
-        radii = np.linspace(0.0, curve.r_b, n)
+        radii = curve.radii
         f_nodes, df_nodes = sol.sol(radii)[2:]
         fr = curve.frame(radii)
         ddf_nodes = (fr.dc1 / fr.c1) * df_nodes - self.rate * f_nodes

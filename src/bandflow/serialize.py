@@ -35,8 +35,9 @@ def jsonify(obj: Any) -> Any:
     """Recursively convert to plain JSON types.
 
     Dataclasses become dicts, numpy scalars and arrays become Python
-    numbers and lists, tuples become lists.  Non-finite floats become
-    strings, since JSON has no spelling for them.
+    booleans, numbers and lists, tuples become lists.  Non-finite floats
+    become strings, since JSON has no spelling for them.  Booleans are
+    tested before integers because bool is a subclass of int.
     """
     to_json = getattr(obj, "to_json", None)
     if callable(to_json) and not isinstance(obj, type):
@@ -59,10 +60,10 @@ def jsonify(obj: Any) -> Any:
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         return x
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
     if obj is None or isinstance(obj, str):
         return obj
     return str(obj)

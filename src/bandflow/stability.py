@@ -49,6 +49,9 @@ __all__ = [
 _STRICTNESS_SLACK = 1e-12
 _PARITY_TOL = 1e-8
 _PENCIL_MAX_STEPS = 64
+_MAX_MODE = 64
+_FPRIME_GRID = 1024
+_CONDITION_GRID = 2048
 _EPS = float(np.finfo(float).eps)
 
 
@@ -115,13 +118,7 @@ class ProfileConditions:
 
     @property
     def all_hold(self) -> bool:
-        return (
-            self.positive
-            and self.even
-            and self.decreasing
-            and self.small_at_boundary
-            and self.ratio_decreasing
-        )
+        return all(self.as_tuple())
 
     def as_tuple(self) -> tuple[bool, bool, bool, bool, bool]:
         return (
@@ -208,26 +205,27 @@ def lambda1_mode(curve: ProfileCurve, m: int, n: int = 2048) -> EigenEstimate:
     )
 
 
-def lambda1(curve: ProfileCurve, *, n: int = 2048, max_mode: int = 64) -> Lambda1Result:
+def lambda1(curve: ProfileCurve) -> Lambda1Result:
     """Scan Fourier modes for the global first eigenvalue of -Laplacian.
 
     The per-mode value increases with m (the m^2/c1 term only adds), so
     the scan stops at the first mode that does not fall below the running
     minimum; on thin or very wide bands neighbouring modes can tie to the
     last digit, and no later mode can then be lower.  The boundary
-    condition is Dirichlet (see the module docstring).
+    condition is Dirichlet (see the module docstring).  Each mode is
+    solved on lambda1_mode's default grids.
     """
     modes: list[EigenEstimate] = []
     best: EigenEstimate | None = None
-    for m in range(max_mode + 1):
-        est = lambda1_mode(curve, m, n)
+    for m in range(_MAX_MODE + 1):
+        est = lambda1_mode(curve, m)
         modes.append(est)
         if best is not None and est.richardson >= best.richardson:
             break
         best = est
     else:  # pragma: no cover
         raise ConvergenceFailure(
-            f"mode scan did not settle within {max_mode} Fourier modes"
+            f"mode scan did not settle within {_MAX_MODE} Fourier modes"
         )
     return Lambda1Result(
         value=best.richardson, error_bar=best.error_bar, modes=tuple(modes)
@@ -238,24 +236,20 @@ def check_arnold(
     f: RadialProfile,
     curve: ProfileCurve,
     *,
-    grid_n: int = 1024,
     safety: float = 0.05,
-    eigen_n: int = 2048,
     lambda_result: Lambda1Result | None = None,
 ) -> StabilityReport:
     """Assign the Arnold branch verdict for the zonal flow generated by f.
 
-    F' is scanned on a uniform grid of grid_n points across the band; the
+    F' is scanned on a uniform grid of 1024 points across the band; the
     negative branch keeps a safety fraction of lambda1 in hand because
     lambda1 is itself a numerical estimate.  A precomputed Lambda1Result
     may be injected to amortize scans over many candidate profiles.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     if not 0.0 <= safety < 1.0:
         raise ValueError(f"safety must lie in [0, 1), got {safety}")
-    lam = lambda_result if lambda_result is not None else lambda1(curve, n=eigen_n)
-    radii = np.linspace(-curve.r_b, curve.r_b, grid_n)
+    lam = lambda_result if lambda_result is not None else lambda1(curve)
+    radii = np.linspace(-curve.r_b, curve.r_b, _FPRIME_GRID)
     slope = fprime_from_f(f, curve, radii)
     fprime_min = float(np.min(slope))
     fprime_max = float(np.max(slope))
@@ -275,25 +269,24 @@ def check_arnold(
         lambda1=lam,
         margin=margin,
         safety=safety,
-        grid_n=grid_n,
+        grid_n=_FPRIME_GRID,
     )
 
 
 def profile_conditions(
-    f: RadialProfile, curve: ProfileCurve, *, rho: float = 0.1, n: int = 2048
+    f: RadialProfile, curve: ProfileCurve, *, rho: float = 0.1
 ) -> ProfileConditions:
     """Evaluate the five admissibility conditions on f over a dense grid.
 
-    Strict monotonicity is tested between consecutive samples with slack
-    1e-12, skipping the pair touching r = 0 where even functions are flat
-    to second order.  rho quantifies the boundary smallness requirement
+    The grid holds 2048 points on [0, r_b], mirrored for parity.  Strict
+    monotonicity is tested between consecutive samples with slack 1e-12,
+    skipping the pair touching r = 0 where even functions are flat to
+    second order.  rho quantifies the boundary smallness requirement
     f(r_b) <= rho f(0).
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if n < 16:
-        raise ValueError(f"need at least 16 samples, got {n}")
-    half = np.linspace(0.0, curve.r_b, n)
+    half = np.linspace(0.0, curve.r_b, _CONDITION_GRID)
     right = f.value(half)
     left = f.value(-half)
     c1 = curve.c1(half)

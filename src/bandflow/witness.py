@@ -76,15 +76,18 @@ _CERTIFIED = "certified"
 _NOT_FOUND = "not-found"
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_W_LO = 0.05
+_W_HI = 0.9
+_W_TOL = 1e-4
 
 
 @dataclass(frozen=True)
 class WitnessSearchConfig:
-    """Deterministic search grids and tolerances.
+    """Deterministic search grids and the curvature quadrature tolerance.
 
     The width parameter w of the bump is the fraction of the half-band
-    used by the descent; it is line-searched after the coarse grid.  All
-    grids are fixed tuples so identical configs replay identically.
+    used by the descent; w_count widths are tried before a line search.
+    All grids are fixed tuples so identical configs replay identically.
     """
 
     families: tuple[str, ...] = ("power", "gaussian", "helmholtz")
@@ -93,13 +96,6 @@ class WitnessSearchConfig:
     decay_targets: tuple[float, ...] = (0.05, 0.1, 0.3)
     slope_fractions: tuple[float, ...] = (0.94, 0.85, 0.7, 0.5)
     w_count: int = 12
-    w_lo: float = 0.05
-    w_hi: float = 0.9
-    w_tol: float = 1e-4
-    rho: float = 0.1
-    safety: float = 0.05
-    fprime_grid: int = 1024
-    eigen_grid: int = 2048
     mc_rel_tol: float = 1e-8
 
     def describe(self) -> dict:
@@ -221,7 +217,7 @@ def _optimize_bump(
     config: WitnessSearchConfig,
 ) -> tuple[float, float, float]:
     """Best descent width for the plateau bump, by coarse grid + line search."""
-    widths = np.linspace(config.w_lo, config.w_hi, config.w_count)
+    widths = np.linspace(_W_LO, _W_HI, config.w_count)
     results: dict[float, MCResult] = {}
 
     def mc_at(w: float) -> float:
@@ -233,7 +229,7 @@ def _optimize_bump(
     k = int(np.argmax(coarse))
     lo = widths[max(0, k - 1)]
     hi = widths[min(len(widths) - 1, k + 1)]
-    best_w, best_val = _golden_max(mc_at, float(lo), float(hi), config.w_tol)
+    best_w, best_val = _golden_max(mc_at, float(lo), float(hi), _W_TOL)
     if coarse[k] >= best_val:
         best_w, best_val = float(widths[k]), float(coarse[k])
     return float(best_w), float(best_val), float(results[best_w].error_estimate)
@@ -262,14 +258,8 @@ def _evaluate_candidate(
             best_mc=-math.inf,
             mc_error=math.nan,
         )
-    report = check_arnold(
-        f,
-        curve,
-        grid_n=config.fprime_grid,
-        safety=config.safety,
-        lambda_result=lam,
-    )
-    conditions = profile_conditions(f, curve, rho=config.rho)
+    report = check_arnold(f, curve, lambda_result=lam)
+    conditions = profile_conditions(f, curve)
     best_w, best_mc, mc_err = _optimize_bump(
         ZonalVelocityProfile(f, curve), curve, config
     )
@@ -334,7 +324,7 @@ def find_witness(
     reproducible.
     """
     curve = solve_profile(spec)
-    lam = lambda1(curve, n=config.eigen_grid)
+    lam = lambda1(curve)
     candidates = _candidate_profiles(curve, lam, config)
     outcomes = [
         _evaluate_candidate(order, family, params, f, curve, lam, config)
@@ -363,14 +353,8 @@ def find_witness(
 
     # rebuild the winner and re-verify, from its serialized parameters only
     f = _profile_from_params(curve, best.family, best.params)
-    report = check_arnold(
-        f,
-        curve,
-        grid_n=config.fprime_grid,
-        safety=config.safety,
-        lambda_result=lam,
-    )
-    conditions = profile_conditions(f, curve, rho=config.rho)
+    report = check_arnold(f, curve, lambda_result=lam)
+    conditions = profile_conditions(f, curve)
     h = PlateauProfile(curve.r_b, best.best_w)
     F = ZonalVelocityProfile(f, curve)
     formula = mc_bump_formula(F, h, curve, rel_tol=config.mc_rel_tol)

@@ -60,6 +60,15 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert len(payload["config_sha256"]) == 64
 
 
+def test_stability_json_booleans(capsys):
+    code, out, _ = _run(capsys, ["stability", "--a", "2", "--b", "0.5"])
+    assert code == 0
+    assert '"even": true' in out
+    payload = json.loads(out)
+    assert payload["config"]["lambda1_only"] is False
+    assert all(type(v) is bool for k, v in payload["conditions"].items() if k != "rho")
+
+
 def test_stability_modes_table(capsys):
     code, out, _ = _run(
         capsys, ["stability", "--a", "2", "--b", "0.5", "--lambda1-only"]
@@ -129,6 +138,23 @@ def test_invalid_geometry_is_a_clean_error(capsys):
     code, _, err = _run(capsys, ["profile", "--a", "0.5", "--b", "0.5"])
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--a", "1", "--b", "0.999"],
+        ["stability", "--a", "300", "--b", "0.5", "--lambda1-only"],
+    ],
+)
+def test_accepted_but_unsolvable_input_ends_cleanly(capsys, argv):
+    # validation accepts these bands; the solver may still refuse them, but
+    # only with a typed error that names no setting the user cannot change
+    code, _, err = _run(capsys, argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error:")
+        assert "rtol" not in err and "atol" not in err
 
 
 def test_unknown_method_is_a_clean_error(capsys):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from bandflow import (
-    FIELD_COLUMNS,
     ConstantProfile,
     CurvePowerProfile,
     DivisionNearZero,
@@ -29,27 +28,19 @@ from bandflow import (
     fprime_from_psi,
     fprime_numerator,
     fprime_ratio,
-    hodge_star,
     lambda1,
-    radial_laplacian,
-    radial_table,
     zonal_from_f,
 )
-
-
-def test_hodge_star_squares_to_minus_one(band, rng):
-    r = rng.uniform(-band.r_b, band.r_b, 20)
-    star = hodge_star(band, r)
-    assert np.allclose(star.on_dr * star.on_dtheta, -1.0, rtol=1e-14)
-    assert np.allclose(star.on_form_dr * star.on_form_dtheta, -1.0, rtol=1e-14)
-    assert np.allclose(star.on_dr, -1.0 / band.c1(r), rtol=1e-14)
 
 
 def test_laplacian_and_slope_numerator_differ_by_drift(band, rng):
     f = GaussianProfile(0.01, 2.5)
     r = rng.uniform(-0.9 * band.r_b, 0.9 * band.r_b, 30)
-    drift = 2.0 * np.asarray(band.dc1(r)) / np.asarray(band.c1(r)) * np.asarray(f.d1(r))
-    lhs = np.asarray(radial_laplacian(f, band, r)) - np.asarray(fprime_numerator(f, band, r))
+    weight = np.asarray(band.dc1(r)) / np.asarray(band.c1(r))
+    drift = 2.0 * weight * np.asarray(f.d1(r))
+    # Laplace-Beltrami of the radial function f: f'' + (dc1/c1) f'
+    laplacian = np.asarray(f.d2(r)) + weight * np.asarray(f.d1(r))
+    lhs = laplacian - np.asarray(fprime_numerator(f, band, r))
     assert np.allclose(lhs, drift, rtol=1e-12, atol=1e-14)
 
 
@@ -216,15 +207,6 @@ def test_divergence_of_radial_spray_on_sphere(sphere):
     assert not field.is_boundary_tangent()
 
 
-def test_radial_table_layout(band):
-    f = GaussianProfile(0.0, 1.0)
-    radii = np.linspace(0.0, band.r_b, 11)
-    table = radial_table(f, radii)
-    assert table.shape == (11, len(FIELD_COLUMNS))
-    assert np.array_equal(table[:, 0], radii)
-    assert np.allclose(table[:, 1], np.asarray(f.value(radii)))
-
-
 class _ArrayOnly(RadialProfile):
     """Written for arrays only; the base class must supply scalar support."""
 
@@ -265,7 +247,6 @@ def _radial_evaluators(curve):
     out["fprime_from_f"] = lambda r: fprime_from_f(f, curve, r)
     out["fprime_from_psi"] = lambda r: fprime_from_psi(psi, r)
     out["fprime_ratio"] = lambda r: fprime_ratio(psi, r)
-    out["radial_laplacian"] = lambda r: radial_laplacian(f, curve, r)
     out["curvature_defect"] = lambda r: curvature_defect(curve, r)
     return out
 

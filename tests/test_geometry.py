@@ -13,7 +13,6 @@ from bandflow import (
     PROFILE_COLUMNS,
     SurfaceSpec,
     arc_length_from_height,
-    connection,
     curvature_defect,
     profile_table,
     solve_profile,
@@ -111,12 +110,6 @@ def test_defect_closed_form(band, rng):
 def test_sphere_defect_stays_tiny(sphere):
     r = np.linspace(-sphere.r_b, sphere.r_b, 1000)
     assert np.max(curvature_defect(sphere, r)) <= 1e-6
-
-
-def test_connection_on_sphere(sphere):
-    sym = connection(sphere, math.pi / 6.0)
-    assert math.isclose(float(sym.r_theta_theta), math.sqrt(3.0) / 4.0, rel_tol=1e-9)
-    assert math.isclose(float(sym.theta_r_theta), -math.tan(math.pi / 6.0), rel_tol=1e-9)
 
 
 def test_accessors_read_the_frame_values(band, rng):

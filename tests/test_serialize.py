@@ -49,9 +49,18 @@ def test_jsonify_numpy_and_containers():
             "ints": np.arange(3),
             "pair": (1, 2),
             "flag": np.bool_(True),
+            "python_flag": False,
         }
     )
-    assert out == {"scalar": 0.25, "ints": [0, 1, 2], "pair": [1, 2], "flag": True}
+    assert out == {
+        "scalar": 0.25,
+        "ints": [0, 1, 2],
+        "pair": [1, 2],
+        "flag": True,
+        "python_flag": False,
+    }
+    # bool is a subclass of int; a flag must not come out as 0 or 1
+    assert out["python_flag"] is False and jsonify(True) is True
     assert json.dumps(out)  # nothing numpy-flavored survives
 
 

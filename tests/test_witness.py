@@ -70,7 +70,16 @@ def test_config_is_frozen_and_described():
         SMALL.w_count = 9
     desc = SMALL.describe()
     assert desc["families"] == ["power", "helmholtz"]
-    assert "workers" not in desc
+    # the search space only; grids and tolerances it does not vary are not config
+    assert set(desc) == {
+        "families",
+        "p_grid",
+        "delta_grid",
+        "decay_targets",
+        "slope_fractions",
+        "w_count",
+        "mc_rel_tol",
+    }
 
 
 def test_sweep_row_matches_standalone_search():
