@@ -8,7 +8,8 @@ that decides the sign question outright: the boundary-penalty to
 interior-gain ratio minimized over all admissible bumps.  Below 1 some
 bump wins; at or above 1 none can, no matter how the width is tuned.
 
-Runs the full 3 x 3 grid; expect roughly twenty seconds.
+Runs the full 3 x 3 grid; expect a few seconds (about 4 s on a 2-core
+Xeon host).
 """
 from bandflow import SWEEP_COLUMNS, WitnessSearchConfig, sweep, sweep_summary
 

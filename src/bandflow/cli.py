@@ -37,9 +37,11 @@ __all__ = ["main"]
 _COMMON_DEFAULTS = {
     "a": 2.0,
     "b": 0.5,
-    "tol": 1e-8,
     "out": None,
 }
+
+# only the commands that integrate curvature take a quadrature tolerance
+_TOL_DEFAULT = {"tol": 1e-8}
 
 _FAMILY_DEFAULTS = {
     "family": "power",
@@ -59,17 +61,18 @@ _DEFAULTS = {
     },
     "mc": {
         **_COMMON_DEFAULTS,
+        **_TOL_DEFAULT,
         **_FAMILY_DEFAULTS,
         "format": "json",
         "h": "plateau",
         "w": 0.3,
         "methods": "all",
     },
-    "witness": {**_COMMON_DEFAULTS, "format": "json"},
+    "witness": {**_COMMON_DEFAULTS, **_TOL_DEFAULT, "format": "json"},
     "sweep": {
         "a": "1.5,2,3",
         "b": "0.3,0.5,0.7",
-        "tol": 1e-8,
+        **_TOL_DEFAULT,
         "out": None,
         "format": "csv",
     },
@@ -92,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--a", type=float, help="equator radius (>= 1)")
             p.add_argument("--b", type=float, help="height cutoff in (0, 1)")
-        p.add_argument("--tol", type=float, help="relative quadrature tolerance")
         p.add_argument("--out", type=str, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
         p.add_argument("--config", type=str, help="JSON config file; flags win")
@@ -127,8 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="report only the eigenvalue scan, per mode",
     )
 
+    def tolerance(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tol", type=float, help="relative quadrature tolerance")
+
     p = sub.add_parser("mc", help="curvature of a zonal flow against a bump")
     common(p)
+    tolerance(p)
     family(p)
     p.add_argument("--h", choices=("zero", "plateau"), help="bump choice")
     p.add_argument("--w", type=float, help="plateau descent width fraction")
@@ -140,9 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="search one band for a certificate")
     common(p)
+    tolerance(p)
 
     p = sub.add_parser("sweep", help="witness search over a grid of bands")
     common(p, grid=True)
+    tolerance(p)
     # accepted and ignored: perfbench's sweep workload still passes it
     p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 

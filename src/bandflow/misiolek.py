@@ -17,15 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BoundaryViolation, TangencyViolation
 from .fields import _TANGENCY_TOL, SeparableField, VectorField, ZonalField, divergence
 from .geometry import ProfileCurve
-from .profiles import RadialProfile
-from .quadrature import adaptive_gauss_legendre
+from .profiles import PlateauProfile, RadialProfile, _plateau
+from .quadrature import IntegralResult, adaptive_gauss_legendre, integrate_batch
 from .stability import _pencil_smallest
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "bump_field",
     "field_from_stream",
     "mc_bump_formula",
+    "mc_bump_formula_batch",
     "mc_direct",
     "mc_reduced",
     "optimal_bump_ratio",
@@ -83,12 +84,49 @@ class MCResult:
         }
 
 
-def _check_bump(h: RadialProfile, curve: ProfileCurve) -> None:
-    edge = float(np.max(np.abs(h.value(np.array([-curve.r_b, curve.r_b])))))
-    if edge > _BUMP_EDGE_TOL:
-        raise BoundaryViolation(
-            f"bump reaches {edge:.3e} at the boundary circles (tolerance {_BUMP_EDGE_TOL:.0e})"
-        )
+def _per_profile(
+    profiles: Sequence[RadialProfile], method: str, r: np.ndarray, owner: np.ndarray
+) -> np.ndarray:
+    """`method` of each node's profile, one call per run of nodes sharing one."""
+    ids: dict[int, int] = {}
+    key = np.array([ids.setdefault(id(p), len(ids)) for p in profiles])[owner]
+    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), key.size]
+    out = np.empty_like(r)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        out[lo:hi] = getattr(profiles[owner[lo]], method)(r[lo:hi])
+    return out
+
+
+def _checked_bumps(
+    hs: Sequence[RadialProfile], curve: ProfileCurve
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(r, owner) -> (h, h') of each node's bump hs[owner].
+
+    Plateau bumps of any widths evaluate together in one pass.  Raises
+    BoundaryViolation for the first bump that does not vanish at the
+    boundary circles.
+    """
+    if all(isinstance(h, PlateauProfile) for h in hs):
+        starts = np.array([h.start for h in hs])
+        spans = np.array([h.span for h in hs])
+
+        def terms(r, owner):
+            start, span = starts[owner], spans[owner]
+            return _plateau(r, start, span, 0), _plateau(r, start, span, 1)
+
+    else:
+
+        def terms(r, owner):
+            return _per_profile(hs, "value", r, owner), _per_profile(hs, "d1", r, owner)
+
+    edges = np.tile([-curve.r_b, curve.r_b], len(hs))
+    edge_values, _ = terms(edges, np.repeat(np.arange(len(hs)), 2))
+    for edge in np.abs(edge_values).reshape(-1, 2).max(axis=1).tolist():
+        if edge > _BUMP_EDGE_TOL:
+            raise BoundaryViolation(
+                f"bump reaches {edge:.3e} at the boundary circles (tolerance {_BUMP_EDGE_TOL:.0e})"
+            )
+    return terms
 
 
 class BumpField(SeparableField):
@@ -101,7 +139,7 @@ class BumpField(SeparableField):
 
     def __init__(self, curve: ProfileCurve, h: RadialProfile):
         super().__init__(curve)
-        _check_bump(h, curve)
+        _checked_bumps([h], curve)
         self.h = h
 
     def radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,6 +208,26 @@ def _theta_nodes(n_theta: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * np.arange(n_theta) / n_theta
 
 
+def _mc_result(
+    method: str,
+    result: IntegralResult,
+    curve: ProfileCurve,
+    per_node: int,
+    density: Callable[[np.ndarray], np.ndarray],
+) -> MCResult:
+    def sampler() -> np.ndarray:
+        grid = np.linspace(-curve.r_b, curve.r_b, _SAMPLE_POINTS)
+        return np.column_stack([grid, density(grid)])
+
+    return MCResult(
+        value=result.value,
+        method=method,
+        error_estimate=result.error,
+        n_nodes=result.n_evals * per_node,
+        sampler=sampler,
+    )
+
+
 def _radial_mc(
     method: str,
     density,
@@ -182,18 +240,38 @@ def _radial_mc(
     result = adaptive_gauss_legendre(
         density, -curve.r_b, curve.r_b, rel_tol=rel_tol, abs_tol=1e-12, **options
     )
+    return _mc_result(method, result, curve, per_node, density)
 
-    def sampler() -> np.ndarray:
-        grid = np.linspace(-curve.r_b, curve.r_b, _SAMPLE_POINTS)
-        return np.column_stack([grid, density(grid)])
 
-    return MCResult(
-        value=result.value,
-        method=method,
-        error_estimate=result.error,
-        n_nodes=result.n_evals * per_node,
-        sampler=sampler,
-    )
+# the band is split at the joins of h, and each smooth piece is one
+# 32-node panel checked against its two 32-node halves
+_FORMULA_PANELS = {"initial_panels": 1, "nodes_per_panel": 32}
+
+
+def _formula_density(
+    pairs: Sequence[tuple[RadialProfile, RadialProfile]], curve: ProfileCurve
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """density(r, owner): the closed-form integrand of each node's pair.
+
+    The frame and eps^2 are computed once per call, F once per run of
+    nodes that share it, and h by `_checked_bumps`.
+    """
+    big_fs = [F for F, _ in pairs]
+    bumps = _checked_bumps([h for _, h in pairs], curve)
+
+    def density(r: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        fr = curve.frame(r)
+        eps_sq = fr.dc1**2 - fr.c1 * fr.ddc1 - 1.0
+        fv = _per_profile(big_fs, "value", r, owner)
+        hv, hd = bumps(r, owner)
+        return (
+            math.pi
+            * fv**2
+            * fr.c1
+            * (hv**2 * eps_sq - fr.c1**2 * hd**2)
+        )
+
+    return density
 
 
 def mc_bump_formula(
@@ -210,31 +288,56 @@ def mc_bump_formula(
     and vanishes identically on the sphere.  The band is split at the
     joins of h, and each smooth piece is one 32-node panel checked against
     its two 32-node halves, so a plateau bump usually needs a single
-    integrand call.
+    integrand call.  It integrates the batched density of
+    `mc_bump_formula_batch` for this one pair through
+    `adaptive_gauss_legendre`, itself a batch of one, so the two give the
+    same result bit for bit.
     """
-    _check_bump(h, curve)
-
-    def density(r: np.ndarray) -> np.ndarray:
-        fr = curve.frame(r)
-        eps_sq = fr.dc1**2 - fr.c1 * fr.ddc1 - 1.0
-        fv, hv, hd = F.value(r), h.value(r), h.d1(r)
-        return (
-            math.pi
-            * fv**2
-            * fr.c1
-            * (hv**2 * eps_sq - fr.c1**2 * hd**2)
-        )
-
+    density = _formula_density([(F, h)], curve)
     return _radial_mc(
         "formula-1d",
-        density,
+        lambda r: density(r, np.zeros(r.size, dtype=np.intp)),
         curve,
         rel_tol,
         1,
         points=h.joins,
-        initial_panels=1,
-        nodes_per_panel=32,
+        **_FORMULA_PANELS,
     )
+
+
+def mc_bump_formula_batch(
+    pairs: Sequence[tuple[RadialProfile, RadialProfile]],
+    curve: ProfileCurve,
+    *,
+    rel_tol: float,
+) -> list[MCResult]:
+    """`mc_bump_formula` for every (F, h) pair, in shared integrand calls.
+
+    One batched quadrature integrates all pairs: each refinement round is
+    one density call over the pending panels of every pair.  Each result,
+    its sample table included, equals that of a lone `mc_bump_formula`
+    call on its pair.  Raises BoundaryViolation, before any quadrature,
+    for the first bump that does not vanish at the boundary circles.
+    """
+    density = _formula_density(pairs, curve)
+    results = integrate_batch(
+        density,
+        [(-curve.r_b, curve.r_b)] * len(pairs),
+        [h.joins for _, h in pairs],
+        rel_tol=rel_tol,
+        abs_tol=1e-12,
+        **_FORMULA_PANELS,
+    )
+    return [
+        _mc_result(
+            "formula-1d",
+            result,
+            curve,
+            1,
+            lambda grid, i=i: density(grid, np.full(grid.size, i)),
+        )
+        for i, result in enumerate(results)
+    ]
 
 
 def _require_admissible(W: VectorField) -> None:

@@ -228,13 +228,28 @@ def _smoothstep(t: np.ndarray, order: int) -> np.ndarray:
     return 840.0 * t * (1.0 - t) * (1.0 - 5.0 * t + 5.0 * t * t)
 
 
+def _plateau(r, start, span, order: int) -> np.ndarray:
+    """Derivative `order` (0-3) at r of the plateau that descends over
+    start <= |r| <= start + span; start and span may be arrays matching r,
+    so that plateaus of many widths evaluate in one pass."""
+    t = (np.abs(r) - start) / span
+    if order == 0:
+        return 1.0 - _smoothstep(np.clip(t, 0.0, 1.0), 0)
+    inside = (t > 0.0) & (t < 1.0)
+    slope = -_smoothstep(np.clip(t, 0.0, 1.0), order)
+    if order % 2:
+        slope = slope * np.sign(r)
+    return np.where(inside, slope / span**order, 0.0)
+
+
 class PlateauProfile(RadialProfile):
     """Unit plateau with a smooth descent to zero at +-half_width.
 
-    The profile is exactly 1 on |r| <= (1 - edge_fraction) * half_width,
-    exactly 0 at |r| >= half_width, and a septic smoothstep in between, so
-    it is C^3 across both joins, which `joins` lists on each side.  Used as
-    the bump h generating the perturbation field; the descent width is the
+    The profile is exactly 1 on |r| <= start = (1 - edge_fraction) *
+    half_width, exactly 0 at |r| >= half_width, and a septic smoothstep
+    over the descent of length span = edge_fraction * half_width, so it is
+    C^3 across both joins, which `joins` lists on each side.  Used as the
+    bump h generating the perturbation field; the descent width is the
     search parameter w.
     """
 
@@ -247,30 +262,21 @@ class PlateauProfile(RadialProfile):
             )
         self.half_width = float(half_width)
         self.edge_fraction = float(edge_fraction)
-        self._start = (1.0 - self.edge_fraction) * self.half_width
-        self._span = self.edge_fraction * self.half_width
-        self.joins = (-self.half_width, -self._start, self._start, self.half_width)
-
-    def _pieces(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = (np.abs(r) - self._start) / self._span
-        inside = (t > 0.0) & (t < 1.0)
-        return np.clip(t, 0.0, 1.0), inside
+        self.start = (1.0 - self.edge_fraction) * self.half_width
+        self.span = self.edge_fraction * self.half_width
+        self.joins = (-self.half_width, -self.start, self.start, self.half_width)
 
     def value(self, r):
-        t, _ = self._pieces(r)
-        return 1.0 - _smoothstep(t, 0)
+        return _plateau(r, self.start, self.span, 0)
 
     def d1(self, r):
-        t, inside = self._pieces(r)
-        return np.where(inside, -_smoothstep(t, 1) * np.sign(r) / self._span, 0.0)
+        return _plateau(r, self.start, self.span, 1)
 
     def d2(self, r):
-        t, inside = self._pieces(r)
-        return np.where(inside, -_smoothstep(t, 2) / self._span**2, 0.0)
+        return _plateau(r, self.start, self.span, 2)
 
     def d3(self, r):
-        t, inside = self._pieces(r)
-        return np.where(inside, -_smoothstep(t, 3) * np.sign(r) / self._span**3, 0.0)
+        return _plateau(r, self.start, self.span, 3)
 
     def describe(self) -> dict:
         return {

@@ -6,8 +6,14 @@ the perturbation field strictly positive, with all three curvature routes
 agreeing.  The search walks small deterministic parameter grids for f
 (floored powers of the warp factor, floored Gaussians, and the
 constant-slope family), optimizes the descent width of the plateau bump
-for each stable candidate along the 1-d closed form, and re-verifies the
-winner with the 2-d and direct routes before claiming anything.
+for each admissible candidate along the 1-d closed form, and re-verifies
+the winner with the 2-d and direct routes before claiming anything.
+
+The width searches of a cell's candidates run in lockstep: the coarse
+grid of every candidate is one batched formula call, and so is each
+golden-section step, with one new width per candidate whose bracket is
+still open.  Each candidate sees exactly the widths and values it would
+see alone.
 
 A failed search is a result, not an error: the report carries the best
 near-miss and the quantity that blocked it.
@@ -27,6 +33,7 @@ from .misiolek import (
     MCResult,
     bump_field,
     mc_bump_formula,
+    mc_bump_formula_batch,
     mc_direct,
     mc_reduced,
     optimal_bump_ratio,
@@ -192,89 +199,111 @@ def _candidate_profiles(
     return out
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    # golden-section ascent; fn is cached by the caller where it matters
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
+def _width_search(w_count: int):
+    """One candidate's bump-width search: coarse grid, then golden section.
 
-
-def _optimize_bump(
-    F: RadialProfile,
-    curve: ProfileCurve,
-    config: WitnessSearchConfig,
-) -> tuple[float, float, float]:
-    """Best descent width for the plateau bump, by coarse grid + line search."""
-    widths = np.linspace(_W_LO, _W_HI, config.w_count)
-    results: dict[float, MCResult] = {}
-
-    def mc_at(w: float) -> float:
-        h = PlateauProfile(curve.r_b, w)
-        results[w] = mc_bump_formula(F, h, curve, rel_tol=config.mc_rel_tol)
-        return results[w].value
-
-    coarse = [mc_at(w) for w in widths]
+    A generator: each yield is the list of widths whose curvature it needs
+    next, the matching values are sent back, and it returns the best
+    (width, curvature).  w_count grid widths go out first, then the two
+    interior points of the bracket around the grid's best, then one new
+    width per golden step until the bracket is narrower than _W_TOL.
+    """
+    widths = np.linspace(_W_LO, _W_HI, w_count).tolist()
+    coarse = yield widths
     k = int(np.argmax(coarse))
     lo = widths[max(0, k - 1)]
     hi = widths[min(len(widths) - 1, k + 1)]
-    best_w, best_val = _golden_max(mc_at, float(lo), float(hi), _W_TOL)
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = yield [x1, x2]
+    while hi - lo > _W_TOL:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            (f2,) = yield [x2]
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            (f1,) = yield [x1]
+    best_w, best_val = (x1, f1) if f1 >= f2 else (x2, f2)
     if coarse[k] >= best_val:
-        best_w, best_val = float(widths[k]), float(coarse[k])
-    return float(best_w), float(best_val), float(results[best_w].error_estimate)
+        best_w, best_val = widths[k], coarse[k]
+    return best_w, best_val
 
 
-def _evaluate_candidate(
-    order: int,
-    family: str,
-    params: dict,
-    f: RadialProfile,
+def _search_widths(
+    big_fs: list[RadialProfile],
     curve: ProfileCurve,
-    lam: Lambda1Result,
     config: WitnessSearchConfig,
-) -> CandidateOutcome:
+) -> list[tuple[float, float, float]]:
+    """Best (width, curvature, its error) of the plateau bump for each F.
+
+    The searches of all candidates run in lockstep: every step gathers the
+    widths that each unfinished search asks for into one
+    `mc_bump_formula_batch` call.  Each width a search asks for is
+    integrated once, and the error bar returned is the one computed at
+    the best width.
+    """
+    searches = [_width_search(config.w_count) for _ in big_fs]
+    asks = [next(search) for search in searches]
+    seen: list[dict[float, MCResult]] = [{} for _ in big_fs]
+    best: list[tuple[float, float, float]] = [(math.nan, math.nan, math.nan)] * len(big_fs)
+    pending = list(range(len(big_fs)))
+    while pending:
+        pairs = [
+            (big_fs[i], PlateauProfile(curve.r_b, w)) for i in pending for w in asks[i]
+        ]
+        results = iter(mc_bump_formula_batch(pairs, curve, rel_tol=config.mc_rel_tol))
+        still = []
+        for i in pending:
+            for w in asks[i]:
+                seen[i][w] = next(results)
+            try:
+                asks[i] = searches[i].send([seen[i][w].value for w in asks[i]])
+                still.append(i)
+            except StopIteration as stop:
+                w, value = stop.value
+                best[i] = (float(w), float(value), float(seen[i][w].error_estimate))
+        pending = still
+    return best
+
+
+def _candidate_outcomes(
+    curve: ProfileCurve, lam: Lambda1Result, config: WitnessSearchConfig
+) -> list[CandidateOutcome]:
+    """Stability and conditions of every candidate, then one width search.
+
+    A candidate whose f comes within 1e-12 of zero is inadmissible and
+    skips both; the admissible ones share one lockstep width search.
+    """
     probe = np.linspace(-curve.r_b, curve.r_b, 512)
-    if float(np.min(f.value(probe))) <= 1e-12:
-        return CandidateOutcome(
-            order=order,
-            family=family,
-            params=params,
-            admissible=False,
-            branch="inadmissible",
-            margin=-math.inf,
-            conditions=None,
-            best_w=math.nan,
-            best_mc=-math.inf,
-            mc_error=math.nan,
+    outcomes: list[CandidateOutcome] = []
+    searched: list[tuple[int, RadialProfile]] = []
+    for order, (family, params, f) in enumerate(_candidate_profiles(curve, lam, config)):
+        admissible = float(np.min(f.value(probe))) > 1e-12
+        report = check_arnold(f, curve, lambda_result=lam) if admissible else None
+        outcomes.append(
+            CandidateOutcome(
+                order=order,
+                family=family,
+                params=params,
+                admissible=admissible,
+                branch=report.verdict if report else "inadmissible",
+                margin=report.margin if report else -math.inf,
+                conditions=profile_conditions(f, curve) if admissible else None,
+                best_w=math.nan,
+                best_mc=-math.inf,
+                mc_error=math.nan,
+            )
         )
-    report = check_arnold(f, curve, lambda_result=lam)
-    conditions = profile_conditions(f, curve)
-    best_w, best_mc, mc_err = _optimize_bump(
-        ZonalVelocityProfile(f, curve), curve, config
-    )
-    return CandidateOutcome(
-        order=order,
-        family=family,
-        params=params,
-        admissible=True,
-        branch=report.verdict,
-        margin=report.margin,
-        conditions=conditions,
-        best_w=best_w,
-        best_mc=best_mc,
-        mc_error=mc_err,
-    )
+        if admissible:
+            searched.append((order, ZonalVelocityProfile(f, curve)))
+    found = _search_widths([F for _, F in searched], curve, config)
+    for (order, _), (best_w, best_mc, mc_error) in zip(searched, found):
+        outcomes[order] = dataclasses.replace(
+            outcomes[order], best_w=best_w, best_mc=best_mc, mc_error=mc_error
+        )
+    return outcomes
 
 
 _CERTIFIED_NOTE = (
@@ -319,17 +348,14 @@ def find_witness(
     Candidates are ranked by their optimized curvature among the
     Arnold-stable ones; the leader is re-verified with the reduced and
     direct routes, and certification additionally demands that the value
-    clears ten times its own quadrature error.  Candidates run one after
-    another in enumeration order, which also breaks ties, so results are
+    clears ten times its own quadrature error.  Stability and conditions
+    are computed for every candidate first, then all width searches run
+    together in lockstep; enumeration order breaks ties, so results are
     reproducible.
     """
     curve = solve_profile(spec)
     lam = lambda1(curve)
-    candidates = _candidate_profiles(curve, lam, config)
-    outcomes = [
-        _evaluate_candidate(order, family, params, f, curve, lam, config)
-        for order, (family, params, f) in enumerate(candidates)
-    ]
+    outcomes = _candidate_outcomes(curve, lam, config)
 
     stable = [o for o in outcomes if o.stable]
     admissible = [o for o in outcomes if o.admissible]

@@ -178,3 +178,14 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert piped == ""
     assert target.read_text() == streamed
+
+
+@pytest.mark.parametrize("command", ["profile", "stability"])
+def test_tol_is_refused_where_nothing_integrates(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--a", "2", "--b", "0.5", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    code, out, _ = _run(capsys, [command, "--a", "2", "--b", "0.5", "--format", "json"])
+    assert code == 0
+    assert "tol" not in json.loads(out)["config"]

@@ -12,9 +12,11 @@ import pytest
 from scipy.linalg import eigh
 
 from bandflow import (
+    BoundaryViolation,
     ConstantProfile,
     CurvePowerProfile,
     GaussianProfile,
+    HelmholtzProfile,
     PlateauProfile,
     PolynomialProfile,
     RadialProfile,
@@ -32,6 +34,7 @@ from bandflow import (
     optimal_bump_ratio,
     zonal_from_f,
 )
+from bandflow.misiolek import mc_bump_formula_batch
 
 MC_P6_W03 = -8.370673593506833  # frozen regression value on the a=2, b=0.5 band
 
@@ -608,3 +611,88 @@ def test_two_d_routes_only_read_field_arrays(band):
         view = _ReadOnlyView(W)
         assert mc_reduced(big_f, view).value == mc_reduced(big_f, W).value
         assert mc_direct(zonal, view).value == mc_direct(zonal, W).value
+
+
+def _assert_same_as_alone(pairs, curve, batch, rel_tol=1e-8):
+    """Each batch result equals a lone mc_bump_formula call, bit for bit."""
+    assert len(batch) == len(pairs)
+    for (big_f, h), res in zip(pairs, batch):
+        alone = mc_bump_formula(big_f, h, curve, rel_tol=rel_tol)
+        assert (res.value, res.error_estimate, res.n_nodes) == (
+            alone.value,
+            alone.error_estimate,
+            alone.n_nodes,
+        )
+        assert res.method == alone.method
+        assert res.samples.tobytes() == alone.samples.tobytes()
+
+
+def _mixed_flows(curve):
+    fs = [
+        CurvePowerProfile(curve, 6.0, 1e-3),
+        GaussianProfile(1e-2, 3.0),
+        HelmholtzProfile(curve, 2.0),
+    ]
+    return [ZonalVelocityProfile(f, curve) for f in fs]
+
+
+def test_batch_matches_lone_calls_exactly(band):
+    flows = _mixed_flows(band)
+    widths = (0.05, 0.3, 0.62, 0.9)
+    # interleaved, so that runs of nodes sharing an F are short
+    pairs = [(big_f, PlateauProfile(band.r_b, w)) for w in widths for big_f in flows]
+    _assert_same_as_alone(pairs, band, mc_bump_formula_batch(pairs, band, rel_tol=1e-8))
+    # a bump that is no plateau takes the per-profile path for every h
+    pairs.append((flows[0], 2.0 * PlateauProfile(band.r_b, 0.4)))
+    _assert_same_as_alone(pairs, band, mc_bump_formula_batch(pairs, band, rel_tol=1e-8))
+    assert mc_bump_formula_batch([], band, rel_tol=1e-8) == []
+
+
+def test_batch_round_over_the_node_cap_is_sliced(band, monkeypatch):
+    from bandflow import misiolek
+
+    sizes = []
+    real = misiolek.integrate_batch
+
+    def recording(density, *args, **kwargs):
+        def recorded(r, owner):
+            sizes.append(r.size)
+            return density(r, owner)
+
+        return real(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(misiolek, "integrate_batch", recording)
+    flows = _mixed_flows(band)
+    pairs = [
+        (big_f, PlateauProfile(band.r_b, w))
+        for big_f in flows
+        for w in np.linspace(0.05, 0.9, 80).tolist()
+    ]
+    batch = mc_bump_formula_batch(pairs, band, rel_tol=1e-8)
+    # round 0 holds 240 x 3 pieces x 3 panels x 32 nodes, more than 2^16
+    assert sizes[:2] == [2**16, 240 * 288 - 2**16]
+    _assert_same_as_alone(pairs, band, batch)
+
+
+def test_batch_pairs_refine_on_their_own(band):
+    rel_tol = 1e-14
+    flows = _mixed_flows(band)
+    pairs = [(big_f, PlateauProfile(band.r_b, w)) for big_f in flows for w in (0.05, 0.5)]
+    batch = mc_bump_formula_batch(pairs, band, rel_tol=rel_tol)
+    nodes = {res.n_nodes for res in batch}
+    # some pairs settle in round 0, others need extra rounds
+    assert min(nodes) == 288 and max(nodes) > 288
+    _assert_same_as_alone(pairs, band, batch, rel_tol)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [lambda r_b: PlateauProfile(2.0 * r_b, 0.3), lambda r_b: ConstantProfile(1.0)],
+)
+def test_batch_refuses_a_bump_that_breaks_the_boundary(band, bad):
+    big_f = _mixed_flows(band)[0]
+    pairs = [(big_f, PlateauProfile(band.r_b, 0.3)), (big_f, bad(band.r_b))]
+    with pytest.raises(BoundaryViolation):
+        mc_bump_formula_batch(pairs, band, rel_tol=1e-8)
+    with pytest.raises(BoundaryViolation):
+        mc_bump_formula(big_f, bad(band.r_b), band)

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from bandflow import PlateauProfile
 from bandflow.errors import QuadratureFailure
-from bandflow.quadrature import IntegralResult, adaptive_gauss_legendre
+from bandflow.quadrature import IntegralResult, adaptive_gauss_legendre, integrate_batch
 
 
 def test_polynomial_is_exact():
@@ -116,3 +116,51 @@ def test_a_round_is_evaluated_in_capped_slices():
     # the round of 2^17 nodes is split; no slice exceeds 2^16 nodes
     assert max(sizes) == 2**16
     assert sum(sizes) == res.n_evals
+
+
+def test_batch_integrals_equal_lone_integrals():
+    intervals = [(0.0, 10.0), (1.0, 1.0), (-2.0, 3.0), (0.0, 10.0)]
+    points = [(), (), (0.5, 2.5), (3.0,)]
+    rates = np.array([7.0, 1.0, 0.5, 2.0])
+    calls = []
+
+    def batched(x, owner):
+        calls.append(np.array(owner))
+        return np.sin(rates[owner] * x) + owner
+
+    options = {"rel_tol": 1e-12, "abs_tol": 1e-12, "nodes_per_panel": 16, "initial_panels": 2}
+    batch = integrate_batch(batched, intervals, points, **options)
+    lone_rounds = []
+    for i, ((lo, hi), breaks) in enumerate(zip(intervals, points)):
+        rounds = []
+
+        def lone(x, i=i, rounds=rounds):
+            rounds.append(x.size)
+            return np.sin(rates[i] * x) + i
+
+        assert batch[i] == adaptive_gauss_legendre(lone, lo, hi, points=breaks, **options)
+        lone_rounds.append(len(rounds))
+    assert batch[1] == IntegralResult(0.0, 0.0, 0)
+    # one call per round, over the pending panels of every integral
+    assert len(calls) == max(lone_rounds) > 1
+    for i, count in enumerate(lone_rounds):
+        assert sum(i in c for c in calls) == count
+
+
+def test_batch_fails_when_one_integral_exhausts_its_panels():
+    jump = math.sqrt(2.0) / 2.0
+
+    def mixed(x, owner):
+        return np.where((owner == 1) & (x > jump), 1.0, np.cos(x))
+
+    with pytest.raises(QuadratureFailure):
+        integrate_batch(
+            mixed,
+            [(0.0, 1.0), (0.0, 1.0)],
+            [(), ()],
+            rel_tol=1e-12,
+            abs_tol=1e-12,
+            nodes_per_panel=8,
+            initial_panels=1,
+            max_panels=8,
+        )

@@ -3,8 +3,10 @@ import math
 import threading
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 
+import bandflow.misiolek as misiolek
 import bandflow.witness as witness
 from bandflow import (
     SWEEP_COLUMNS,
@@ -16,6 +18,9 @@ from bandflow import (
     canonical_json,
     find_witness,
     jsonify,
+    lambda1,
+    mc_bump_formula,
+    solve_profile,
     sweep,
     sweep_summary,
 )
@@ -128,30 +133,104 @@ def test_sweep_summary_columns():
     assert math.isfinite(summary["lambda1"])
 
 
+def _sequential_search(big_f, curve, config, evaluated=None):
+    """One candidate's width search as it ran before the lockstep search.
+
+    Coarse grid, then golden section, one mc_bump_formula call per width;
+    `evaluated` collects the widths in the order they are integrated.
+    """
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    widths = np.linspace(witness._W_LO, witness._W_HI, config.w_count)
+    results = {}
+
+    def mc_at(w):
+        if evaluated is not None:
+            evaluated.append(float(w))
+        h = PlateauProfile(curve.r_b, w)
+        results[w] = mc_bump_formula(big_f, h, curve, rel_tol=config.mc_rel_tol)
+        return results[w].value
+
+    coarse = [mc_at(w) for w in widths]
+    k = int(np.argmax(coarse))
+    lo = float(widths[max(0, k - 1)])
+    hi = float(widths[min(len(widths) - 1, k + 1)])
+    x1 = hi - golden * (hi - lo)
+    x2 = lo + golden * (hi - lo)
+    f1, f2 = mc_at(x1), mc_at(x2)
+    while hi - lo > witness._W_TOL:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + golden * (hi - lo)
+            f2 = mc_at(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - golden * (hi - lo)
+            f1 = mc_at(x1)
+    best_w, best_val = (x1, f1) if f1 >= f2 else (x2, f2)
+    if coarse[k] >= best_val:
+        best_w, best_val = float(widths[k]), float(coarse[k])
+    return float(best_w), float(best_val), float(results[best_w].error_estimate)
+
+
 def test_bump_search_evaluates_each_width_once(band, monkeypatch):
-    formula_calls = []
-    golden_calls = []
-    formula = witness.mc_bump_formula
-    golden = witness._golden_max
+    asked = []
+    batch = witness.mc_bump_formula_batch
 
-    def counting_formula(*args, **kwargs):
-        formula_calls.append(args[1])
-        return formula(*args, **kwargs)
+    def recording(pairs, curve, **kwargs):
+        asked.extend((id(big_f), h.edge_fraction) for big_f, h in pairs)
+        return batch(pairs, curve, **kwargs)
 
-    def counting_golden(fn, *args):
-        def probe(w):
-            golden_calls.append(w)
-            return fn(w)
-
-        return golden(probe, *args)
-
-    monkeypatch.setattr(witness, "mc_bump_formula", counting_formula)
-    monkeypatch.setattr(witness, "_golden_max", counting_golden)
-    big_f = ZonalVelocityProfile(CurvePowerProfile(band, 6.0, 1e-3), band)
+    monkeypatch.setattr(witness, "mc_bump_formula_batch", recording)
     config = WitnessSearchConfig()
-    best_w, best_mc, err = witness._optimize_bump(big_f, band, config)
-    assert golden_calls
-    assert len(formula_calls) == config.w_count + len(golden_calls)
-    # the error bar is the one computed during the search at best_w
-    again = formula(big_f, PlateauProfile(band.r_b, best_w), band, rel_tol=config.mc_rel_tol)
-    assert (again.value, again.error_estimate) == (best_mc, err)
+    flows = [
+        ZonalVelocityProfile(CurvePowerProfile(band, p, 1e-3), band) for p in (3.0, 6.0, 24.0)
+    ]
+    found = witness._search_widths(flows, band, config)
+    for big_f, (best_w, best_mc, err) in zip(flows, found):
+        widths = [w for key, w in asked if key == id(big_f)]
+        sequential = []
+        _sequential_search(big_f, band, config, sequential)
+        # the w_count grid widths, then the golden-step widths, each once
+        assert widths == sequential
+        assert widths[: config.w_count] == np.linspace(0.05, 0.9, config.w_count).tolist()
+        assert len(widths) > config.w_count + 2
+        assert len(set(widths)) == len(widths)
+        # the error bar is the one computed during the search at best_w
+        again = mc_bump_formula(
+            big_f, PlateauProfile(band.r_b, best_w), band, rel_tol=config.mc_rel_tol
+        )
+        assert (again.value, again.error_estimate) == (best_mc, err)
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 0.5), (3.0, 0.3)])
+def test_lockstep_search_matches_the_sequential_search(a, b):
+    curve = solve_profile(SurfaceSpec(a, b))
+    config = WitnessSearchConfig()
+    outcomes = witness._candidate_outcomes(curve, lambda1(curve), config)
+    searched = [o for o in outcomes if o.admissible]
+    assert len(searched) >= 20
+    for o in searched:
+        f = witness._profile_from_params(curve, o.family, o.params)
+        expected = _sequential_search(ZonalVelocityProfile(f, curve), curve, config)
+        assert (o.best_w, o.best_mc, o.mc_error) == expected, (o.family, o.params)
+
+
+def test_one_cell_makes_few_formula_density_calls(monkeypatch):
+    calls = []
+    real = misiolek._formula_density
+
+    def counting(pairs, curve):
+        density = real(pairs, curve)
+
+        def counted(r, owner):
+            calls.append(r.size)
+            return density(r, owner)
+
+        return counted
+
+    monkeypatch.setattr(misiolek, "_formula_density", counting)
+    res = find_witness(SurfaceSpec(2.0, 0.5))
+    assert res.diagnostics["candidates_examined"] == 24
+    # one call per refinement round of each lockstep step, all candidates
+    # together, against one per round per width when each width ran alone
+    assert 0 < len(calls) <= 40
