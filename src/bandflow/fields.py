@@ -302,8 +302,11 @@ class ZonalVelocityProfile(RadialProfile):
         )
         return u, du, ddu, dddu
 
+    def _value_at(self, r, c1):
+        return -self.f._value_at(r, c1) * c1 ** -2.0
+
     def value(self, r):
-        return -self.f.value(r) * self.curve.c1(r) ** -2.0
+        return self._value_at(r, self.curve.c1(r))
 
     def d1(self, r):
         u, du, _, _ = self._chain(r)

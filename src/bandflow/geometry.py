@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -75,7 +75,10 @@ class ProfileFrame:
     """Batched profile values and radial derivatives at query points.
 
     Produced by ProfileCurve.frame; all members are 1-d arrays of equal
-    length, derivatives are with respect to arc length r.
+    length, derivatives are with respect to arc length r.  r, c1, c2, dc1,
+    dc2 and ddc1 are computed with the frame; ddc2 and dddc1 are computed
+    on first read and then kept, since the curvature integrands, the
+    frame's main readers, need neither.
     """
 
     r: np.ndarray
@@ -84,8 +87,25 @@ class ProfileFrame:
     dc1: np.ndarray
     dc2: np.ndarray
     ddc1: np.ndarray
-    ddc2: np.ndarray
-    dddc1: np.ndarray
+    # a^2, S and dS/dr of the derivative chain, which ddc2 and dddc1 read
+    _a2: float = field(repr=False)
+    _s: np.ndarray = field(repr=False)
+    _sdot: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def ddc2(self) -> np.ndarray:
+        s = self._s
+        return (self.dc1 * s - self.c1 * self._sdot) / (s * s)
+
+    @functools.cached_property
+    def dddc1(self) -> np.ndarray:
+        a2, s, sdot = self._a2, self._s, self._sdot
+        a4 = a2 * a2
+        c1, c2, dc1, dc2, ddc1, ddc2 = self.c1, self.c2, self.dc1, self.dc2, self.ddc1, self.ddc2
+        sddot = (dc1**2 + c1 * ddc1 + a4 * (dc2**2 + c2 * ddc2) - sdot**2) / s
+        n = dc2 * s - c2 * sdot
+        ndot = ddc2 * s - c2 * sddot
+        return -a2 * (ndot * s - 2.0 * n * sdot) / s**3
 
 
 def _like(values: np.ndarray, r) -> float | np.ndarray:
@@ -127,7 +147,9 @@ class ProfileCurve:
         ddc2  = (dc1 S - c1 Sdot) / S^2
 
     and one more derivative of ddc1 for the third order.  radii is the
-    node grid on [0, r_b].  Instances are safe to share across threads.
+    node grid on [0, r_b], uniform up to rounding.  A query finds its node
+    interval once and evaluates both pieces from that one lookup.
+    Instances are safe to share across threads.
     """
 
     def __init__(
@@ -143,8 +165,11 @@ class ProfileCurve:
         a2 = spec.a ** 2
         a4 = a2 * a2
         s = np.sqrt(c1_nodes**2 + a4 * c2_nodes**2)
-        self._c1 = CubicHermiteSpline(radii, c1_nodes, -a2 * c2_nodes / s)
-        self._c2 = CubicHermiteSpline(radii, c2_nodes, c1_nodes / s)
+        # the pieces' coefficients, highest power first, one column per node
+        # interval; _hermite evaluates them
+        self._c1 = CubicHermiteSpline(radii, c1_nodes, -a2 * c2_nodes / s).c
+        self._c2 = CubicHermiteSpline(radii, c2_nodes, c1_nodes / s).c
+        self._per_step = (radii.size - 1) / radii[-1]
         self.radii = radii
 
     @property
@@ -162,20 +187,45 @@ class ProfileCurve:
         )
 
     def _fold(self, r) -> tuple[np.ndarray, np.ndarray]:
-        """r as an array of at least one dimension, and |r| for the splines."""
+        """r as an array of at least one dimension, and |r| for the pieces."""
         rr = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(np.abs(rr) > self.r_b * (1.0 + 1e-12)):
-            worst = float(np.max(np.abs(rr)))
+        size = np.abs(rr)
+        if np.any(size > self.r_b * (1.0 + 1e-12)):
+            worst = float(np.max(size))
             raise ValueError(
                 f"query radius {worst:.17g} outside the band [-{self.r_b:.17g}, {self.r_b:.17g}]"
             )
-        return rr, np.minimum(np.abs(rr), self.r_b)
+        return rr, np.minimum(size, self.r_b, out=size)
+
+    def _hermite(self, x: np.ndarray, *pieces: np.ndarray) -> list[np.ndarray]:
+        """The given Hermite pieces at x in [0, r_b], from one interval lookup.
+
+        The arithmetic is scipy's PPoly evaluation, so the values equal the
+        splines' bit for bit: the interval i with radii[i] <= x < radii[i+1]
+        (the last one closed), then c3 + c2 s, + c1 s^2, + c0 s^3 in that
+        order, with s = x - radii[i].
+        """
+        radii = self.radii
+        last = radii.size - 2
+        i = np.minimum((x * self._per_step).astype(np.intp), last)
+        np.maximum(i, 0, out=i)  # a nan query casts to a negative index
+        # the grid is uniform only up to rounding, so i may be one off
+        i -= x < radii[i]
+        i += x >= radii[i + 1]
+        np.minimum(i, last, out=i)
+        s = x - radii[i]
+        s2 = s * s
+        s3 = s2 * s
+        return [
+            ((c3.take(i) + c2.take(i) * s) + c1.take(i) * s2) + c0.take(i) * s3
+            for c0, c1, c2, c3 in pieces
+        ]
 
     def frame(self, r) -> ProfileFrame:
-        """Evaluate the full derivative chain at r (scalar or array)."""
+        """Evaluate the derivative chain at r (scalar or array)."""
         rr, folded = self._fold(r)
-        c1 = self._c1(folded)
-        c2 = np.sign(rr) * self._c2(folded)
+        c1, c2 = self._hermite(folded, self._c1, self._c2)
+        c2 = np.sign(rr) * c2
         a2 = self.spec.a ** 2
         a4 = a2 * a2
         s = np.sqrt(c1 * c1 + a4 * c2 * c2)
@@ -183,21 +233,16 @@ class ProfileCurve:
         dc2 = c1 / s
         sdot = (c1 * dc1 + a4 * c2 * dc2) / s
         ddc1 = -a2 * (dc2 * s - c2 * sdot) / (s * s)
-        ddc2 = (dc1 * s - c1 * sdot) / (s * s)
-        sddot = (dc1**2 + c1 * ddc1 + a4 * (dc2**2 + c2 * ddc2) - sdot**2) / s
-        n = dc2 * s - c2 * sdot
-        ndot = ddc2 * s - c2 * sddot
-        dddc1 = -a2 * (ndot * s - 2.0 * n * sdot) / s**3
         return ProfileFrame(
-            r=rr, c1=c1, c2=c2, dc1=dc1, dc2=dc2, ddc1=ddc1, ddc2=ddc2, dddc1=dddc1
+            r=rr, c1=c1, c2=c2, dc1=dc1, dc2=dc2, ddc1=ddc1, _a2=a2, _s=s, _sdot=sdot
         )
 
     def c1(self, r) -> float | np.ndarray:
-        return _like(self._c1(self._fold(r)[1]), r)
+        return _like(self._hermite(self._fold(r)[1], self._c1)[0], r)
 
     def c2(self, r) -> float | np.ndarray:
         rr, folded = self._fold(r)
-        return _like(np.sign(rr) * self._c2(folded), r)
+        return _like(np.sign(rr) * self._hermite(folded, self._c2)[0], r)
 
     def dc1(self, r) -> float | np.ndarray:
         return _like(self.frame(r).dc1, r)

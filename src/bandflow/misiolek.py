@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,17 +84,15 @@ class MCResult:
         }
 
 
-def _per_profile(
-    profiles: Sequence[RadialProfile], method: str, r: np.ndarray, owner: np.ndarray
-) -> np.ndarray:
-    """`method` of each node's profile, one call per run of nodes sharing one."""
+def _runs(
+    profiles: Sequence[RadialProfile], owner: np.ndarray
+) -> Iterator[tuple[RadialProfile, slice]]:
+    """Each run of consecutive nodes whose owners share a profile, with it."""
     ids: dict[int, int] = {}
     key = np.array([ids.setdefault(id(p), len(ids)) for p in profiles])[owner]
     cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), key.size]
-    out = np.empty_like(r)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        out[lo:hi] = getattr(profiles[owner[lo]], method)(r[lo:hi])
-    return out
+        yield profiles[owner[lo]], slice(lo, hi)
 
 
 def _checked_bumps(
@@ -111,13 +109,15 @@ def _checked_bumps(
         spans = np.array([h.span for h in hs])
 
         def terms(r, owner):
-            start, span = starts[owner], spans[owner]
-            return _plateau(r, start, span, 0), _plateau(r, start, span, 1)
+            return _plateau(r, starts[owner], spans[owner], 0, 1)
 
     else:
 
         def terms(r, owner):
-            return _per_profile(hs, "value", r, owner), _per_profile(hs, "d1", r, owner)
+            hv, hd = np.empty_like(r), np.empty_like(r)
+            for h, part in _runs(hs, owner):
+                hv[part], hd[part] = h.value(r[part]), h.d1(r[part])
+            return hv, hd
 
     edges = np.tile([-curve.r_b, curve.r_b], len(hs))
     edge_values, _ = terms(edges, np.repeat(np.arange(len(hs)), 2))
@@ -254,22 +254,22 @@ def _formula_density(
     """density(r, owner): the closed-form integrand of each node's pair.
 
     The frame and eps^2 are computed once per call, F once per run of
-    nodes that share it, and h by `_checked_bumps`.
+    nodes that share it, and h by `_checked_bumps`.  c1 is read once per
+    node, from the frame: F = -f/c1^2 and a warp-factor f take it from
+    there.
     """
     big_fs = [F for F, _ in pairs]
     bumps = _checked_bumps([h for _, h in pairs], curve)
 
     def density(r: np.ndarray, owner: np.ndarray) -> np.ndarray:
         fr = curve.frame(r)
-        eps_sq = fr.dc1**2 - fr.c1 * fr.ddc1 - 1.0
-        fv = _per_profile(big_fs, "value", r, owner)
+        c1 = fr.c1
+        eps_sq = fr.dc1**2 - c1 * fr.ddc1 - 1.0
+        fv = np.empty_like(r)
+        for F, part in _runs(big_fs, owner):
+            fv[part] = F._value_at(r[part], c1[part])
         hv, hd = bumps(r, owner)
-        return (
-            math.pi
-            * fv**2
-            * fr.c1
-            * (hv**2 * eps_sq - fr.c1**2 * hd**2)
-        )
+        return math.pi * fv**2 * c1 * (hv**2 * eps_sq - c1**2 * hd**2)
 
     return density
 

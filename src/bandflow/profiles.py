@@ -71,6 +71,14 @@ class RadialProfile(ABC):
     def describe(self) -> dict:
         """Family tag and parameters, JSON-ready, for provenance records."""
 
+    def _value_at(self, r: np.ndarray, c1: np.ndarray) -> np.ndarray:
+        """value at the array r, given the curve's c1 at r.
+
+        Families built on the warp factor override it to use that c1
+        instead of evaluating the curve again.
+        """
+        return self.value(r)
+
     def __call__(self, r) -> float | np.ndarray:
         return self.value(r)
 
@@ -181,9 +189,12 @@ class CurvePowerProfile(RadialProfile):
         a = self.curve.spec.a
         return fr.c1 / a, fr.dc1 / a, fr.ddc1 / a, fr.dddc1 / a
 
-    def value(self, r):
-        u = self.curve.c1(r) / self.curve.spec.a
+    def _value_at(self, r, c1):
+        u = c1 / self.curve.spec.a
         return self.delta + (1.0 - self.delta) * u**self.p
+
+    def value(self, r):
+        return self._value_at(r, self.curve.c1(r))
 
     def d1(self, r):
         u, du, _, _ = self._parts(r)
@@ -228,18 +239,24 @@ def _smoothstep(t: np.ndarray, order: int) -> np.ndarray:
     return 840.0 * t * (1.0 - t) * (1.0 - 5.0 * t + 5.0 * t * t)
 
 
-def _plateau(r, start, span, order: int) -> np.ndarray:
-    """Derivative `order` (0-3) at r of the plateau that descends over
-    start <= |r| <= start + span; start and span may be arrays matching r,
-    so that plateaus of many widths evaluate in one pass."""
+def _plateau(r, start, span, *orders: int) -> list[np.ndarray]:
+    """Derivatives `orders` (each 0-3) at r of the plateau that descends
+    over start <= |r| <= start + span, computed from one descent
+    coordinate; start and span may be arrays matching r, so that plateaus
+    of many widths evaluate in one pass."""
     t = (np.abs(r) - start) / span
-    if order == 0:
-        return 1.0 - _smoothstep(np.clip(t, 0.0, 1.0), 0)
+    clipped = np.clip(t, 0.0, 1.0)
     inside = (t > 0.0) & (t < 1.0)
-    slope = -_smoothstep(np.clip(t, 0.0, 1.0), order)
-    if order % 2:
-        slope = slope * np.sign(r)
-    return np.where(inside, slope / span**order, 0.0)
+    out = []
+    for order in orders:
+        if order == 0:
+            out.append(1.0 - _smoothstep(clipped, 0))
+            continue
+        slope = -_smoothstep(clipped, order)
+        if order % 2:
+            slope = slope * np.sign(r)
+        out.append(np.where(inside, slope / span**order, 0.0))
+    return out
 
 
 class PlateauProfile(RadialProfile):
@@ -267,16 +284,16 @@ class PlateauProfile(RadialProfile):
         self.joins = (-self.half_width, -self.start, self.start, self.half_width)
 
     def value(self, r):
-        return _plateau(r, self.start, self.span, 0)
+        return _plateau(r, self.start, self.span, 0)[0]
 
     def d1(self, r):
-        return _plateau(r, self.start, self.span, 1)
+        return _plateau(r, self.start, self.span, 1)[0]
 
     def d2(self, r):
-        return _plateau(r, self.start, self.span, 2)
+        return _plateau(r, self.start, self.span, 2)[0]
 
     def d3(self, r):
-        return _plateau(r, self.start, self.span, 3)
+        return _plateau(r, self.start, self.span, 3)[0]
 
     def describe(self) -> dict:
         return {
@@ -295,7 +312,8 @@ class HelmholtzProfile(RadialProfile):
     witness search carries this family alongside the closed-form ones.
     A negative rate selects the growing branch with slope +|rate|.
     Second and third derivatives come from the equation itself, so only f
-    and f' are interpolated.
+    and f' are interpolated, as Hermite pieces on the curve's node grid
+    that the curve's own interval lookup evaluates.
 
     f and f' are integrated jointly with the meridian system, state
     (c1, c2, f, f'), so that the weight dc1/c1 comes from the state in
@@ -337,29 +355,34 @@ class HelmholtzProfile(RadialProfile):
         f_nodes, df_nodes = sol.sol(radii)[2:]
         fr = curve.frame(radii)
         ddf_nodes = (fr.dc1 / fr.c1) * df_nodes - self.rate * f_nodes
-        self._f = CubicHermiteSpline(radii, f_nodes, df_nodes)
-        self._df = CubicHermiteSpline(radii, df_nodes, ddf_nodes)
+        # Hermite coefficients on the curve's node grid, which the curve's
+        # own interval lookup evaluates
+        self._f = CubicHermiteSpline(radii, f_nodes, df_nodes).c
+        self._df = CubicHermiteSpline(radii, df_nodes, ddf_nodes).c
 
     def _fold(self, r: np.ndarray) -> np.ndarray:
         return np.minimum(np.abs(r), self.curve.r_b)
 
+    def _f_df(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f and f' at r, from one interval lookup."""
+        f, df = self.curve._hermite(self._fold(r), self._f, self._df)
+        return f, np.sign(r) * df
+
     def value(self, r):
-        return self._f(self._fold(r))
+        return self.curve._hermite(self._fold(r), self._f)[0]
 
     def d1(self, r):
-        return np.sign(r) * self._df(self._fold(r))
+        return np.sign(r) * self.curve._hermite(self._fold(r), self._df)[0]
 
     def d2(self, r):
         fr = self.curve.frame(r)
-        f = self._f(self._fold(r))
-        df = np.sign(r) * self._df(self._fold(r))
+        f, df = self._f_df(r)
         return (fr.dc1 / fr.c1) * df - self.rate * f
 
     def d3(self, r):
         fr = self.curve.frame(r)
         slope = fr.dc1 / fr.c1
-        f = self._f(self._fold(r))
-        df = np.sign(r) * self._df(self._fold(r))
+        f, df = self._f_df(r)
         ddf = slope * df - self.rate * f
         dslope = fr.ddc1 / fr.c1 - slope * slope
         return dslope * df + slope * ddf - self.rate * df

@@ -17,10 +17,15 @@ build arrays of unbounded size before the panel budget runs out.
 
 `integrate_batch` runs many integrals in the same rounds: each round is
 one integrand call over the pending panels of every integral, and the
-integrand is told which integral each node belongs to.  Acceptance, the
-error scale and the left-to-right sum stay per integral, so every integral
-of a batch comes out exactly as it would alone.  `adaptive_gauss_legendre`
-is a batch of one.
+integrand is told which integral each node belongs to.  The pending panels
+of all integrals live in flat arrays, grouped integral by integral, so a
+round's node layout, acceptance test and bisection take a fixed number of
+numpy calls however many integrals are pending.  What decides the bits
+stays per integral: each integral's rule sums are one (panels, n) product
+of their own, and its error scale and result are left-to-right Python
+sums, so every integral of a batch comes out exactly as it would alone.
+`adaptive_gauss_legendre` is a batch of one.  An interval given with its
+ends reversed integrates to the negated value, as in scipy's quad.
 """
 from __future__ import annotations
 
@@ -51,106 +56,24 @@ class IntegralResult:
     n_evals: int
 
 
-class _Integral:
-    """Refinement state of one integral: its pending panels and accepted sum."""
+def _layout(first: np.ndarray, count: np.ndarray, slot: np.ndarray, parts: int) -> list:
+    """Where each panel's parts go when a round is laid out integral by integral.
 
-    def __init__(self, index: int, lo: float, hi: float, edges: np.ndarray):
-        self.index, self.lo, self.hi = index, lo, hi
-        self.width = hi - lo
-        self.a, self.b = edges[:-1], edges[1:]
-        self.mid = 0.5 * (self.a + self.b)
-        self.whole: np.ndarray | None = None
-        self.scale = 0.0
-        self.accepted: list[tuple[float, float, float]] = []  # (lo, value, error)
-        self.n_panels = len(self.a)
-        self.n_evals = 0
-
-    def round_panels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper edges of the panels this round evaluates."""
-        a, b, mid = self.a, self.b, self.mid
-        if self.whole is None:
-            return np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
-        return np.concatenate([a, mid]), np.concatenate([mid, b])
-
-    def refine(
-        self, values: np.ndarray, n: int, rel_tol: float, abs_tol: float, max_panels: int
-    ) -> bool:
-        """Accept the converged panels of a round; False once none are left."""
-        a, b = self.a, self.b
-        k = len(a)
-        if self.whole is None:
-            self.whole, left, right = values[:k], values[k : 2 * k], values[2 * k :]
-            self.n_evals = 3 * k * n
-            self.scale = abs(sum(self.whole.tolist()))
-        else:
-            left, right = values[:k], values[k:]
-            self.n_evals += 2 * k * n
-        refined = left + right
-        err = np.abs(refined - self.whole)
-        budget = max(abs_tol, rel_tol * self.scale) * ((b - a) / self.width)
-        done = (err <= budget) | ((b - a) < 1e-14 * self.width)
-        self.accepted += zip(a[done].tolist(), refined[done].tolist(), err[done].tolist())
-        # refresh the scale with the best current information
-        self.scale = max(self.scale, abs(sum(v for _, v, _ in self.accepted)))
-        split = ~done
-        k = int(np.count_nonzero(split))
-        if k == 0:
-            return False
-        self.n_panels += 2 * k
-        if self.n_panels > max_panels:
-            raise QuadratureFailure(
-                f"adaptive quadrature exceeded {max_panels} panels on [{self.lo}, {self.hi}]"
-            )
-        # the halves of the split panels are the next round's panels
-        self.a = np.concatenate([a[split], self.mid[split]])
-        self.b = np.concatenate([self.mid[split], b[split]])
-        self.whole = np.concatenate([left[split], right[split]])
-        self.mid = 0.5 * (self.a + self.b)
-        return True
-
-    def result(self) -> IntegralResult:
-        self.accepted.sort(key=lambda t: t[0])
-        value = float(sum(v for _, v, _ in self.accepted))
-        error = float(sum(e for _, _, e in self.accepted))
-        return IntegralResult(value, error, self.n_evals)
-
-
-def _panels(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    integrals: list[_Integral],
-    n: int,
-) -> list[np.ndarray]:
-    """Rule values on every integral's round panels, f called on capped slices.
-
-    Each integral's values are summed in its own (panels, n) block: one
-    product over the stacked blocks of a batch rounds differently in the
-    last bit.
+    Panel t belongs to the integral in slot[t], whose panels start at
+    first[slot] and number count[slot].  Each integral's block holds its
+    panels' part 0, then their part 1, and so on, each in panel order;
+    element q of the result holds the position of part q of every panel.
     """
-    x, w = _rule(n)
-    edges = [s.round_panels() for s in integrals]
-    halves = [0.5 * (hi - lo) for lo, hi in edges]
-    nodes = np.concatenate(
-        [
-            (half[:, None] * x + (0.5 * (hi + lo))[:, None]).ravel()
-            for half, (lo, hi) in zip(halves, edges)
-        ]
-    )
-    owner = np.repeat([s.index for s in integrals], [half.size * n for half in halves])
-    vals = np.concatenate(
-        [
-            np.asarray(
-                f(nodes[i : i + _MAX_NODES_PER_CALL], owner[i : i + _MAX_NODES_PER_CALL]),
-                dtype=float,
-            )
-            for i in range(0, nodes.size, _MAX_NODES_PER_CALL)
-        ]
-    )
-    out = []
-    start = 0
-    for half in halves:
-        stop = start + half.size * n
-        out.append(half * (vals[start:stop].reshape(half.size, n) @ w))
-        start = stop
+    base = (parts - 1) * first[slot] + np.arange(slot.size)
+    step = count[slot]
+    return [base + q * step for q in range(parts)]
+
+
+def _interleave(parts: Sequence[np.ndarray], where: list) -> np.ndarray:
+    """One array holding parts[q] at the positions where[q]."""
+    out = np.empty(len(parts) * parts[0].size)
+    for part, at in zip(parts, where):
+        out[at] = part
     return out
 
 
@@ -171,26 +94,124 @@ def integrate_batch(
     in `intervals` of the integral it belongs to.  `points[i]` are the
     breakpoints of integral i.  Each integral is refined, accepted and
     summed exactly as `adaptive_gauss_legendre` does it alone; the batch
-    only shares the integrand calls.  The first integral to exceed the
-    panel budget raises QuadratureFailure for the whole batch.
+    only shares the integrand calls.  An interval (lo, hi) with hi < lo
+    gives the negated integral over (hi, lo).  The first integral to
+    exceed the panel budget raises QuadratureFailure for the whole batch.
     """
+    n = nodes_per_panel
+    x, w = _rule(n)
     results = [IntegralResult(0.0, 0.0, 0)] * len(intervals)
-    pending = []
-    for index, ((lo, hi), breaks) in enumerate(zip(intervals, points, strict=True)):
-        if hi <= lo:
-            continue
-        inner = [float(p) for p in breaks if lo < p < hi]
-        edges = np.unique(np.concatenate([np.linspace(lo, hi, initial_panels + 1), inner]))
-        pending.append(_Integral(index, lo, hi, edges))
-    while pending:
-        values = _panels(f, pending, nodes_per_panel)
-        still = []
-        for integral, vals in zip(pending, values):
-            if integral.refine(vals, nodes_per_panel, rel_tol, abs_tol, max_panels):
-                still.append(integral)
-            else:
-                results[integral.index] = integral.result()
-        pending = still
+    # the integrals to refine, one slot each: index, ascending ends, sign
+    index, ends, signs, breaks = [], [], [], []
+    for i, ((lo, hi), inside) in enumerate(zip(intervals, points, strict=True)):
+        if lo != hi:
+            index.append(i)
+            ends.append((hi, lo) if hi < lo else (lo, hi))
+            signs.append(-1.0 if hi < lo else 1.0)
+            breaks.append(inside)
+    if not index:
+        return results
+    slots = len(index)
+    lo_s, hi_s = np.array(ends, dtype=float).T
+    width = hi_s - lo_s
+    # the pending panels of every integral as flat arrays, slot by slot
+    a_list, b_list, count = [], [], []
+    grid = np.linspace(lo_s, hi_s, initial_panels + 1, axis=1).tolist()
+    for row, (lo, hi), inside in zip(grid, ends, breaks):
+        edges = sorted({*row, *(float(q) for q in inside if lo < q < hi)})
+        a_list += edges[:-1]
+        b_list += edges[1:]
+        count.append(len(edges) - 1)
+    a, b = np.array(a_list), np.array(b_list)
+    count = np.array(count)
+    slot = np.repeat(np.arange(slots), count)
+    owner_of = np.array(index)
+    n_panels = count.copy()
+    evaluated = np.zeros_like(count)  # panels evaluated by the rule
+    whole = None
+    scale = [0.0] * slots
+    total = [0] * slots  # left-to-right sum of the accepted values
+    accepted = []  # per round: (slot, lo, value, error) of its accepted panels
+    while slot.size:
+        mid = 0.5 * (a + b)
+        # round 0 evaluates each panel and both halves, later rounds the halves
+        lo_parts, hi_parts = ((a, a, mid), (b, mid, b)) if whole is None else ((a, mid), (mid, b))
+        p = len(lo_parts)
+        first = np.cumsum(count) - count
+        where = _layout(first, count, slot, p)
+        lo_r, hi_r = _interleave(lo_parts, where), _interleave(hi_parts, where)
+        half = 0.5 * (hi_r - lo_r)
+        nodes = (half[:, None] * x + (0.5 * (hi_r + lo_r))[:, None]).ravel()
+        owner = np.repeat(owner_of, p * count * n)
+        vals = np.concatenate(
+            [
+                np.asarray(
+                    f(nodes[i : i + _MAX_NODES_PER_CALL], owner[i : i + _MAX_NODES_PER_CALL]),
+                    dtype=float,
+                )
+                for i in range(0, nodes.size, _MAX_NODES_PER_CALL)
+            ]
+        ).reshape(-1, n)
+        # each integral's rows are summed in their own (rows, n) block: one
+        # product over the stacked blocks of a batch rounds differently in
+        # the last bit
+        sums = np.empty(half.size)
+        first_l, count_l = first.tolist(), count.tolist()
+        live = np.flatnonzero(count).tolist()
+        for j in live:
+            s, e = p * first_l[j], p * (first_l[j] + count_l[j])
+            sums[s:e] = vals[s:e] @ w
+        sums = half * sums
+        evaluated += p * count
+        got = [sums[at] for at in where]
+        if whole is None:
+            whole = got[0]
+            whole_l = whole.tolist()
+            for j in live:
+                scale[j] = abs(sum(whole_l[first_l[j] : first_l[j] + count_l[j]]))
+        left, right = got[-2:]
+        refined = left + right
+        err = np.abs(refined - whole)
+        budget = np.array([max(abs_tol, rel_tol * s) for s in scale])[slot]
+        span = b - a
+        done = (err <= budget * (span / width[slot])) | (span < 1e-14 * width[slot])
+        kept = refined[done]
+        accepted.append((slot[done], a[done], kept, err[done]))
+        # refresh the scale with the best current information
+        new = np.bincount(slot[done], minlength=slots).tolist()
+        kept_l = kept.tolist()
+        s = 0
+        for j, k in enumerate(new):
+            if k:
+                total[j] = sum(kept_l[s : s + k], total[j])
+                scale[j] = max(scale[j], abs(total[j]))
+                s += k
+        split = ~done
+        cut = np.bincount(slot[split], minlength=slots)
+        n_panels += 2 * cut
+        over = np.flatnonzero((n_panels > max_panels) & (cut > 0))
+        if over.size:
+            lo, hi = ends[over[0]]
+            raise QuadratureFailure(
+                f"adaptive quadrature exceeded {max_panels} panels on [{lo}, {hi}]"
+            )
+        # the halves of the split panels, left ones first, are the next
+        # round's panels
+        slot = slot[split]
+        where = _layout(np.cumsum(cut) - cut, cut, slot, 2)
+        a = _interleave((a[split], mid[split]), where)
+        b = _interleave((mid[split], b[split]), where)
+        whole = _interleave((left[split], right[split]), where)
+        count = 2 * cut
+        slot = np.repeat(np.arange(slots), count)
+    # each integral's accepted panels, summed left to right
+    slot, lo, value, error = (np.concatenate(c) for c in zip(*accepted))
+    order = np.lexsort((lo, slot))
+    value, error = value[order].tolist(), error[order].tolist()
+    stop = np.cumsum(np.bincount(slot, minlength=slots)).tolist()
+    for j, (i, sign, s, e) in enumerate(zip(index, signs, [0, *stop], stop)):
+        result = float(sum(value[s:e]))
+        results[i] = IntegralResult(sign * result, float(sum(error[s:e])), int(evaluated[j]) * n)
     return results
 
 
@@ -208,6 +229,7 @@ def adaptive_gauss_legendre(
 ) -> IntegralResult:
     """Integrate a vectorized callable over [lo, hi].
 
+    hi < lo gives the negated integral over [hi, lo], and hi == lo gives 0.
     The initial panels split [lo, hi] evenly, and every breakpoint in
     `points` that lies strictly inside (lo, hi) becomes an extra panel
     edge; breakpoints elsewhere are ignored.  A panel is accepted when

@@ -433,7 +433,7 @@ def sweep_summary(result: WitnessResult) -> dict:
 
     mc_error is the formula route's radial-quadrature error at fixed f.
     It leaves out the error of lambda1, which sets the Helmholtz rate and
-    moves mc_value about 10x amplified (ROADMAP item 1).
+    moves mc_value about 10x amplified (ROADMAP item 2).
     """
     row: dict = {
         "a": result.spec.a,

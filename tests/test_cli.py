@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, precedence, determinism, exit codes."""
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +119,20 @@ def test_sweep_single_cell(capsys):
     assert lines[0].split(",")[:4] == ["a", "b", "verdict", "branch"]
     assert len(lines) == 2
     assert lines[1].startswith("1,0.5,not-found")
+
+
+def test_default_sweep_rows_match_the_recorded_bytes(capsys):
+    """The data rows of the default 3 x 3 sweep, header included and the
+    provenance lines left out, equal tests/data/default_sweep.csv byte for
+    byte.  A change meant to leave the sweep's numbers alone, such as a
+    speed-up, must keep this test passing unedited.  A declared change to
+    the sweep's numbers re-records this file together with
+    perfbench/sweep_reference.json."""
+    code, out, _ = _run(capsys, ["sweep"])
+    assert code == 0
+    rows = "".join(ln for ln in out.splitlines(keepends=True) if not ln.startswith("#"))
+    recorded = Path(__file__).parent / "data" / "default_sweep.csv"
+    assert rows.encode() == recorded.read_bytes()
 
 
 def test_sweep_workers_flag_is_accepted_and_ignored(capsys):

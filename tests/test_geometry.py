@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 from bandflow import (
     PROFILE_COLUMNS,
+    ProfileCurve,
     SurfaceSpec,
     arc_length_from_height,
     curvature_defect,
@@ -118,6 +120,35 @@ def test_accessors_read_the_frame_values(band, rng):
     assert np.array_equal(band.c1(r), fr.c1)
     assert np.array_equal(band.c2(r), fr.c2)
     assert band.c2(float(r[0])) == fr.c2[0]
+
+
+@pytest.mark.parametrize("b", [0.02, 0.5, 0.98])
+@pytest.mark.parametrize("a", [1.0, 1.5, 3.0, 12.0, 150.0])
+def test_one_lookup_evaluation_equals_the_splines(a, b):
+    """c1 and c2, evaluated from one interval lookup on the node grid,
+    equal scipy's CubicHermiteSpline on the same nodes bit for bit."""
+    solved = solve_profile(SurfaceSpec(a, b))
+    radii, r_b = solved.radii, solved.r_b
+    # any node values serve; these are the solved curve's
+    c1_nodes, c2_nodes = solved.c1(radii), solved.c2(radii)
+    curve = ProfileCurve(solved.spec, r_b, radii, c1_nodes, c2_nodes)
+    a2 = solved.spec.a ** 2
+    s = np.sqrt(c1_nodes**2 + a2 * a2 * c2_nodes**2)
+    c1_spline = CubicHermiteSpline(radii, c1_nodes, -a2 * c2_nodes / s)
+    c2_spline = CubicHermiteSpline(radii, c2_nodes, c1_nodes / s)
+    rng = np.random.default_rng(int(a * 100 + b * 1000))
+    # a rounded lookup is one off most easily at and one ulp beside a node
+    beside = np.concatenate([np.nextafter(radii, 0.0), np.nextafter(radii, r_b)])
+    r = np.concatenate(
+        [radii, -radii, beside, [0.0, r_b, -r_b], rng.uniform(-r_b, r_b, 10_000)]
+    )
+    want_c1 = c1_spline(np.abs(r))
+    want_c2 = np.sign(r) * c2_spline(np.abs(r))
+    fr = curve.frame(r)
+    for got in (fr.c1, curve.c1(r)):
+        assert got.tobytes() == want_c1.tobytes()
+    for got in (fr.c2, curve.c2(r)):
+        assert got.tobytes() == want_c2.tobytes()
 
 
 def test_domain_guard(band):

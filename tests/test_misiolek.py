@@ -696,3 +696,52 @@ def test_batch_refuses_a_bump_that_breaks_the_boundary(band, bad):
         mc_bump_formula_batch(pairs, band, rel_tol=1e-8)
     with pytest.raises(BoundaryViolation):
         mc_bump_formula(big_f, bad(band.r_b), band)
+
+
+def test_batched_density_is_the_expression_form_and_reads_c1_once(band, monkeypatch):
+    """On the nodes of a real coarse round, the batched density equals
+    pi F^2 c1 (h^2 eps^2 - c1^2 h'^2) built from the public surface, bit
+    for bit, and evaluates the c1 piece once per node: F and a warp-factor
+    f take c1 from the frame instead of evaluating the curve again."""
+    from bandflow import misiolek
+    from bandflow.geometry import ProfileCurve
+
+    flows = _mixed_flows(band)
+    widths = np.linspace(0.05, 0.9, 12).tolist()
+    pairs = [(big_f, PlateauProfile(band.r_b, w)) for w in widths for big_f in flows]
+    rounds = []
+    real = misiolek.integrate_batch
+
+    def recording(density, *args, **kwargs):
+        def recorded(r, owner):
+            rounds.append((r.copy(), owner.copy()))
+            return density(r, owner)
+
+        return real(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(misiolek, "integrate_batch", recording)
+    mc_bump_formula_batch(pairs, band, rel_tol=1e-8)
+    r, owner = rounds[0]
+    assert r.size == len(pairs) * 288
+
+    reference = np.empty_like(r)
+    for i, (big_f, h) in enumerate(pairs):
+        mine = owner == i
+        x = r[mine]
+        fr = band.frame(x)
+        eps_sq = fr.dc1**2 - fr.c1 * fr.ddc1 - 1.0
+        fv, hv, hd = big_f.value(x), h.value(x), h.d1(x)
+        reference[mine] = math.pi * fv**2 * fr.c1 * (hv**2 * eps_sq - fr.c1**2 * hd**2)
+
+    density = misiolek._formula_density(pairs, band)
+    c1_nodes = []
+    hermite = ProfileCurve._hermite
+
+    def counting(self, x, *pieces):
+        c1_nodes.extend(x.size for piece in pieces if piece is self._c1)
+        return hermite(self, x, *pieces)
+
+    monkeypatch.setattr(ProfileCurve, "_hermite", counting)
+    got = density(r, owner)
+    assert got.tobytes() == reference.tobytes()
+    assert sum(c1_nodes) == r.size

@@ -34,6 +34,14 @@ def test_empty_interval_returns_zero():
     assert res.error == 0.0
 
 
+def test_reversed_interval_gives_the_negated_integral():
+    ref, _ = quad(np.cos, 1.0, 0.0, epsabs=0.0, epsrel=1e-13)
+    reversed_ = adaptive_gauss_legendre(np.cos, 1.0, 0.0)
+    assert math.isclose(reversed_.value, ref, rel_tol=1e-12)
+    forward = adaptive_gauss_legendre(np.cos, 0.0, 1.0)
+    assert reversed_ == IntegralResult(-forward.value, forward.error, forward.n_evals)
+
+
 def test_oscillatory_integral_meets_tolerance():
     exact = (1.0 - math.cos(70.0)) / 7.0
     res = adaptive_gauss_legendre(lambda x: np.sin(7.0 * x), 0.0, 10.0, rel_tol=1e-10)
@@ -118,10 +126,77 @@ def test_a_round_is_evaluated_in_capped_slices():
     assert sum(sizes) == res.n_evals
 
 
-def test_batch_integrals_equal_lone_integrals():
-    intervals = [(0.0, 10.0), (1.0, 1.0), (-2.0, 3.0), (0.0, 10.0)]
-    points = [(), (), (0.5, 2.5), (3.0,)]
-    rates = np.array([7.0, 1.0, 0.5, 2.0])
+def _reference_integral(f, lo, hi, points, *, rel_tol, abs_tol, nodes_per_panel, initial_panels):
+    """The adaptive rule for one integral as a plain loop over its panels:
+    the arithmetic that the batched, array-held refinement must reproduce."""
+    n = nodes_per_panel
+    x, w = np.polynomial.legendre.leggauss(n)
+    inner = [float(q) for q in points if lo < q < hi]
+    edges = np.unique(np.concatenate([np.linspace(lo, hi, initial_panels + 1), inner]))
+    a, b = edges[:-1], edges[1:]
+    width = hi - lo
+    whole, scale, accepted, n_evals = None, 0.0, [], 0
+    while a.size:
+        mid = 0.5 * (a + b)
+        if whole is None:
+            lo_r, hi_r = np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
+        else:
+            lo_r, hi_r = np.concatenate([a, mid]), np.concatenate([mid, b])
+        half = 0.5 * (hi_r - lo_r)
+        nodes = (half[:, None] * x + (0.5 * (hi_r + lo_r))[:, None]).ravel()
+        vals = half * (f(nodes).reshape(half.size, n) @ w)
+        n_evals += vals.size * n
+        k = a.size
+        if whole is None:
+            whole, vals = vals[:k], vals[k:]
+            scale = abs(sum(whole.tolist()))
+        left, right = vals[:k], vals[k:]
+        refined = left + right
+        err = np.abs(refined - whole)
+        budget = max(abs_tol, rel_tol * scale) * ((b - a) / width)
+        done = (err <= budget) | ((b - a) < 1e-14 * width)
+        accepted += zip(a[done].tolist(), refined[done].tolist(), err[done].tolist())
+        scale = max(scale, abs(sum(v for _, v, _ in accepted)))
+        split = ~done
+        a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+        whole = np.concatenate([left[split], right[split]])
+    accepted.sort(key=lambda item: item[0])
+    value = float(sum(v for _, v, _ in accepted))
+    return IntegralResult(value, float(sum(e for _, _, e in accepted)), n_evals)
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, points",
+    [
+        (lambda x: np.sin(7.0 * x), 0.0, 10.0, ()),
+        (lambda x: np.sin(60.0 * x) * np.exp(-x), -1.0, 4.0, (0.3, 2.0)),
+        (lambda x: np.sqrt(np.abs(x - 0.4)), 0.0, 1.0, ()),
+        # a peak the coarse rule misses: only the refreshed scale stops refinement
+        (lambda x: 1e4 * np.exp(-(((x - 0.37) / 0.001) ** 2)), 0.0, 1.0, ()),
+    ],
+)
+def test_lone_integral_matches_the_plain_panel_loop(f, lo, hi, points):
+    options = {"rel_tol": 1e-12, "abs_tol": 1e-13, "nodes_per_panel": 16, "initial_panels": 2}
+    got = adaptive_gauss_legendre(f, lo, hi, points=points, **options)
+    assert got == _reference_integral(f, lo, hi, points, **options)
+    assert got.n_evals > 3 * 2 * 16
+
+
+def _many_integrals():
+    """120 integrals whose refinement ends in different rounds: rates from
+    0.5 to 60, some with breakpoints, some reversed, one empty."""
+    rng = np.random.default_rng(11)
+    rates = np.geomspace(0.5, 60.0, 120)
+    intervals, points = [], []
+    for i in range(120):
+        lo, hi = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
+        intervals.append((hi, lo) if i % 7 == 3 else (lo, hi))
+        points.append(tuple(rng.uniform(lo, hi, i % 3).tolist()))
+    intervals[50] = (0.25, 0.25)
+    return intervals, points, rates
+
+
+def _assert_batch_equals_lone_calls(intervals, points, rates):
     calls = []
 
     def batched(x, owner):
@@ -140,11 +215,23 @@ def test_batch_integrals_equal_lone_integrals():
 
         assert batch[i] == adaptive_gauss_legendre(lone, lo, hi, points=breaks, **options)
         lone_rounds.append(len(rounds))
-    assert batch[1] == IntegralResult(0.0, 0.0, 0)
+        if lo == hi:
+            assert batch[i] == IntegralResult(0.0, 0.0, 0)
     # one call per round, over the pending panels of every integral
     assert len(calls) == max(lone_rounds) > 1
     for i, count in enumerate(lone_rounds):
         assert sum(i in c for c in calls) == count
+    return lone_rounds
+
+
+def test_batch_integrals_equal_lone_integrals():
+    _assert_batch_equals_lone_calls(
+        [(0.0, 10.0), (1.0, 1.0), (-2.0, 3.0), (0.0, 10.0)],
+        [(), (), (0.5, 2.5), (3.0,)],
+        np.array([7.0, 1.0, 0.5, 2.0]),
+    )
+    lone_rounds = _assert_batch_equals_lone_calls(*_many_integrals())
+    assert len(set(lone_rounds) - {0}) >= 3
 
 
 def test_batch_fails_when_one_integral_exhausts_its_panels():
