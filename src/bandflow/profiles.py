@@ -15,10 +15,17 @@ from abc import ABC, abstractmethod
 import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import ConvergenceFailure
-from .geometry import _ATOL, _RTOL, ProfileCurve, _pointwise, meridian_slopes
+from .geometry import (
+    _ATOL,
+    _RTOL,
+    ProfileCurve,
+    _dense_rows,
+    _hermite_coefficients,
+    _pointwise,
+    meridian_slopes,
+)
 
 __all__ = [
     "ConstantProfile",
@@ -320,7 +327,9 @@ class HelmholtzProfile(RadialProfile):
     plain float arithmetic; reading it from the curve instead would cost
     a spline evaluation and the derivative chain at every solver stage,
     some twenty times the equation itself.  The curve is consulted once,
-    on its own node grid.  Raises ConvergenceFailure when the integrator
+    on its own node grid, where f and f' are read from the dense output in
+    one vectorized pass, bit-identical to scipy's OdeSolution (verified on
+    scipy 1.17.1).  Raises ConvergenceFailure when the integrator
     stops short of the band edge (a rate too large to resolve).
     """
 
@@ -352,13 +361,13 @@ class HelmholtzProfile(RadialProfile):
                 f"r={sol.t[-1]:.6g} of {curve.r_b:.6g}: {sol.message}"
             )
         radii = curve.radii
-        f_nodes, df_nodes = sol.sol(radii)[2:]
+        f_nodes, df_nodes = _dense_rows(sol.sol, radii, [2, 3])
         fr = curve.frame(radii)
         ddf_nodes = (fr.dc1 / fr.c1) * df_nodes - self.rate * f_nodes
         # Hermite coefficients on the curve's node grid, which the curve's
         # own interval lookup evaluates
-        self._f = CubicHermiteSpline(radii, f_nodes, df_nodes).c
-        self._df = CubicHermiteSpline(radii, df_nodes, ddf_nodes).c
+        self._f = _hermite_coefficients(radii, f_nodes, df_nodes)
+        self._df = _hermite_coefficients(radii, df_nodes, ddf_nodes)
 
     def _fold(self, r: np.ndarray) -> np.ndarray:
         return np.minimum(np.abs(r), self.curve.r_b)

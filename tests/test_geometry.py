@@ -8,17 +8,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.interpolate import CubicHermiteSpline
 
 from bandflow import (
     PROFILE_COLUMNS,
+    EventNotReached,
+    HelmholtzProfile,
     ProfileCurve,
     SurfaceSpec,
+    ToleranceFailure,
     arc_length_from_height,
     curvature_defect,
+    lambda1,
     profile_table,
     solve_profile,
 )
+from bandflow import geometry, profiles
 
 ARC_LENGTHS = {
     (1.0, 0.5): 0.5235987755982988730771072,
@@ -151,10 +158,119 @@ def test_one_lookup_evaluation_equals_the_splines(a, b):
         assert got.tobytes() == want_c2.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
 def test_domain_guard(band):
+    # a nan radius fails the band check like an out-of-band one, before
+    # the interval lookup would cast it to an index
     for accessor in (band.c1, band.c2, band.frame):
-        with pytest.raises(ValueError):
-            accessor(band.r_b * 1.01)
+        for r in (band.r_b * 1.01, math.nan, np.array([math.nan, 0.1])):
+            with pytest.raises(ValueError, match="outside the band"):
+                accessor(r)
+
+
+def test_hermite_pieces_equal_scipys_coefficients(band):
+    radii = band.radii
+    c1_nodes, slopes = band.c1(radii), band.dc1(radii)
+    want = CubicHermiteSpline(radii, c1_nodes, slopes).c
+    assert geometry._hermite_coefficients(radii, c1_nodes, slopes).tobytes() == want.tobytes()
+    for bad in (math.nan, math.inf):
+        broken = c1_nodes.copy()
+        broken[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            geometry._hermite_coefficients(radii, broken, slopes)
+        with pytest.raises(ValueError, match="finite"):
+            geometry._hermite_coefficients(radii, c1_nodes, broken)
+
+
+def _step_boundary_queries(sol, r_b: float) -> np.ndarray:
+    """Ascending queries that pin the step choice: every interior step
+    endpoint, its neighbours one ulp either side, and both span ends."""
+    inner = sol.ts[1:-1]
+    return np.sort(
+        np.concatenate(
+            [inner, np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf), [0.0, r_b]]
+        )
+    )
+
+
+def _spy_dense_rows(monkeypatch, module) -> list:
+    """Record the (sol, nodes, rows) of every _dense_rows call made
+    through module."""
+    seen = []
+    read = module._dense_rows
+
+    def spy(sol, nodes, rows):
+        seen.append((sol, nodes, rows))
+        return read(sol, nodes, rows)
+
+    monkeypatch.setattr(module, "_dense_rows", spy)
+    return seen
+
+
+def test_node_read_takes_scipys_step_at_each_endpoint(rng):
+    # on a solved meridian the two steps that share an endpoint agree
+    # there bit for bit; random coefficients make them disagree, so only
+    # the dense output's own step rule reproduces its values
+    ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.4, 6))])
+    steps = [
+        Dop853DenseOutput(t0, t1, rng.normal(size=3), rng.normal(size=(7, 3)))
+        for t0, t1 in zip(ts[:-1], ts[1:])
+    ]
+    sol = OdeSolution(ts, steps)
+    inside = rng.uniform(0.0, ts[-1], 50)
+    query = np.sort(np.concatenate([_step_boundary_queries(sol, ts[-1]), inside]))
+    for rows in ([0, 1, 2], [2], [1, 0]):
+        assert geometry._dense_rows(sol, query, rows).tobytes() == sol(query)[rows].tobytes()
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.5), (2.0, 0.5), (12.0, 0.98), (150.0, 0.5)])
+def test_node_read_equals_the_dense_output(monkeypatch, a, b):
+    seen = _spy_dense_rows(monkeypatch, geometry)
+    curve = solve_profile(SurfaceSpec(a, b))
+    ((sol, nodes, rows),) = seen
+    assert rows == [0, 1] and nodes is curve.radii
+    for query in (nodes, _step_boundary_queries(sol, curve.r_b)):
+        got = geometry._dense_rows(sol, query, rows)
+        assert got.tobytes() == sol(query).tobytes()
+
+
+@pytest.mark.parametrize("share", [0.85, -0.85])
+def test_helmholtz_node_read_equals_the_dense_output(monkeypatch, band, share):
+    rate = share * lambda1(band).value
+    seen = _spy_dense_rows(monkeypatch, profiles)
+    f = HelmholtzProfile(band, rate)
+    ((sol, nodes, rows),) = seen
+    assert rows == [2, 3] and nodes is band.radii
+    for query in (nodes, _step_boundary_queries(sol, band.r_b)):
+        want = sol(query)
+        assert geometry._dense_rows(sol, query, rows).tobytes() == want[2:].tobytes()
+        assert geometry._dense_rows(sol, query, [0, 1, 2, 3]).tobytes() == want.tobytes()
+    # the pieces built on those nodes are scipy's spline coefficients
+    f_nodes, df_nodes = sol(nodes)[2:]
+    fr = band.frame(nodes)
+    ddf_nodes = (fr.dc1 / fr.c1) * df_nodes - rate * f_nodes
+    assert f._f.tobytes() == CubicHermiteSpline(nodes, f_nodes, df_nodes).c.tobytes()
+    assert f._df.tobytes() == CubicHermiteSpline(nodes, df_nodes, ddf_nodes).c.tobytes()
+
+
+@pytest.mark.parametrize(
+    "a, b, outcome",
+    [
+        (387.58, 0.8968, ToleranceFailure),
+        (755.12, 0.9471, ToleranceFailure),
+        (1.0, 0.99856, EventNotReached),
+        (162.03, 0.4316, None),
+        (215.98, 0.0341, None),
+    ],
+)
+def test_edge_probe_outcomes(a, b, outcome):
+    # oblate and near-pole inputs that validation accepts: each keeps the
+    # outcome it had when the nodes were read through scipy's OdeSolution
+    if outcome is None:
+        assert isinstance(solve_profile(SurfaceSpec(a, b)), ProfileCurve)
+    else:
+        with pytest.raises(outcome):
+            solve_profile(SurfaceSpec(a, b))
 
 
 def test_profile_table_layout(band):

@@ -2,8 +2,11 @@
 import contextlib
 import importlib
 import io
+import os
 import pkgutil
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import bandflow
@@ -25,3 +28,16 @@ def test_exports_resolve_and_demos_run():
         with contextlib.redirect_stdout(out):
             runpy.run_path(str(DEMOS / f"{demo}.py"), run_name="__main__")
         assert out.getvalue(), demo
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # the package builds its Hermite pieces itself; scipy.interpolate alone
+    # costs tens of milliseconds of every fresh import
+    env = dict(os.environ)
+    src = str(Path(bandflow.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, bandflow; print('scipy.interpolate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
