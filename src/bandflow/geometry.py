@@ -18,6 +18,9 @@ The solver's dense output is read at the node grid in one vectorized pass
 scipy 1.17.1), and the cubic Hermite pieces built on those nodes are
 computed here in closed form (_hermite_coefficients), so the package never
 imports scipy.interpolate.
+
+The arc-length oracle arc_length_from_height is closed-form: the
+incomplete elliptic integral of the meridian.
 """
 from __future__ import annotations
 
@@ -26,14 +29,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
+from scipy.special import ellipeinc
 
-from .errors import (
-    EventNotReached,
-    NegativeRadicand,
-    QuadratureFailure,
-    ToleranceFailure,
-)
+from .errors import EventNotReached, NegativeRadicand, ToleranceFailure
 
 __all__ = [
     "PROFILE_COLUMNS",
@@ -61,6 +60,15 @@ class SurfaceSpec:
     a >= 1 keeps the defect radicand nonnegative (a = 1 is the round
     sphere, the degenerate control case); 0 < b < 1 keeps the band away
     from the poles.
+
+    solve_profile does not handle every accepted spec.  Measured on the
+    edge probes of perfbench's surfaces workload, seeds 1-8:
+      - oblate, a in [100, 1000]: 11 of 32 solve within the criterion-1
+        invariants, 15 raise ToleranceFailure, and 6 solve but leave the
+        ellipse by 1.4e-8 to 2.5e-5 between nodes;
+      - near the pole, a = 1 and b in [0.99, 0.9999]: 27 of 32 solve, 5
+        raise EventNotReached;
+      - thin, b in [1e-7, 1e-3]: all 32 solve.
     """
 
     a: float
@@ -81,9 +89,10 @@ class ProfileFrame:
 
     Produced by ProfileCurve.frame; all members are 1-d arrays of equal
     length, derivatives are with respect to arc length r.  r, c1, c2, dc1,
-    dc2 and ddc1 are computed with the frame; ddc2 and dddc1 are computed
-    on first read and then kept, since the curvature integrands, the
-    frame's main readers, need neither.
+    dc2 and ddc1 are computed with the frame; ddc2, dddc1 and the defect
+    radicand eps_sq are computed on first read and then kept, since not
+    every reader needs them.  eps_sq is the package's one copy of the
+    radicand.
     """
 
     r: np.ndarray
@@ -96,6 +105,11 @@ class ProfileFrame:
     _a2: float = field(repr=False)
     _s: np.ndarray = field(repr=False)
     _sdot: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def eps_sq(self) -> np.ndarray:
+        """The defect radicand dc1^2 - c1 ddc1 - 1, unclamped."""
+        return self.dc1**2 - self.c1 * self.ddc1 - 1.0
 
     @functools.cached_property
     def ddc2(self) -> np.ndarray:
@@ -226,14 +240,6 @@ class ProfileCurve:
         self._c2 = _hermite_coefficients(radii, c2_nodes, c1_nodes / s)
         self._per_step = (radii.size - 1) / radii[-1]
         self.radii = radii
-
-    @property
-    def a(self) -> float:
-        return self.spec.a
-
-    @property
-    def b(self) -> float:
-        return self.spec.b
 
     def __repr__(self) -> str:
         return (
@@ -384,14 +390,11 @@ def solve_profile(spec: SurfaceSpec) -> ProfileCurve:
     ellipse_drift = float(np.max(np.abs(c1_nodes**2 + a2 * c2_nodes**2 - a2)))
     if ellipse_drift > 1e-8:
         raise ToleranceFailure(f"on-ellipse drift {ellipse_drift:.3e} exceeds 1e-8")
-    s = np.sqrt(c1_nodes**2 + a4 * c2_nodes**2)
-    speed_drift = float(np.max(np.abs((a4 * c2_nodes**2 + c1_nodes**2) / s**2 - 1.0)))
-    if speed_drift > 1e-8:
-        raise ToleranceFailure(f"unit-speed drift {speed_drift:.3e} exceeds 1e-8")
     end_misfit = abs(float(c2_nodes[-1]) - b)
     if end_misfit > 1e-10:
         raise ToleranceFailure(f"c2(r_b) misses b by {end_misfit:.3e} (> 1e-10)")
-    if not (np.all(c1_nodes > 0.0) and np.all(c1_nodes / s > 0.0)):
+    # dc2 = c1 / S, so c1 > 0 is also dc2 > 0
+    if not np.all(c1_nodes > 0.0):
         raise ToleranceFailure("profile positivity lost: need c1 > 0 and dc2 > 0")
 
     return ProfileCurve(spec, r_b, radii, c1_nodes, c2_nodes)
@@ -400,23 +403,14 @@ def solve_profile(spec: SurfaceSpec) -> ProfileCurve:
 def arc_length_from_height(a: float, z: float) -> float:
     """Meridian arc length from the equator to height z, odd in z.
 
-    Integrates the closed-form speed sqrt(1 + a^2 t^2 / (1 - t^2)) of the
-    height parametrization.  This route never touches the ODE solver, so
-    it serves as an independent check on r_b.
+    With z = sin t the meridian is (a cos t, sin t), whose speed is
+    sqrt(1 - (1 - a^2) sin^2 t), so the length is the incomplete elliptic
+    integral E(arcsin |z| | 1 - a^2), signed like z.  This route never
+    touches the ODE solver, so it serves as an independent check on r_b.
     """
     if not abs(z) < 1.0:
         raise ValueError(f"height must satisfy |z| < 1, got {z}")
-    if z == 0.0:
-        return 0.0
-    aa = float(a) ** 2
-
-    def speed(t: float) -> float:
-        return math.sqrt(1.0 + aa * t * t / (1.0 - t * t))
-
-    value, estimate = quad(speed, 0.0, abs(z), epsabs=1e-13, epsrel=1e-13, limit=200)
-    if estimate > 1e-10:
-        raise QuadratureFailure(f"arc-length quadrature error {estimate:.3e} exceeds 1e-10")
-    return math.copysign(value, z)
+    return math.copysign(ellipeinc(math.asin(abs(z)), 1.0 - a * a), z)
 
 
 def curvature_defect(curve: ProfileCurve, r) -> float | np.ndarray:
@@ -426,8 +420,7 @@ def curvature_defect(curve: ProfileCurve, r) -> float | np.ndarray:
     equator.  Roundoff may push it a hair below zero, which is clamped;
     anything below -1e-8 means the profile itself is broken.
     """
-    fr = curve.frame(r)
-    radicand = fr.dc1**2 - fr.c1 * fr.ddc1 - 1.0
+    radicand = curve.frame(r).eps_sq
     low = float(np.min(radicand))
     if low < -1e-8:
         raise NegativeRadicand(f"defect radicand reached {low:.3e}, below -1e-8")

@@ -253,7 +253,7 @@ def _formula_density(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """density(r, owner): the closed-form integrand of each node's pair.
 
-    The frame and eps^2 are computed once per call, F once per run of
+    The frame and its eps_sq are computed once per call, F once per run of
     nodes that share it, and h by `_checked_bumps`.  c1 is read once per
     node, from the frame: F = -f/c1^2 and a warp-factor f take it from
     there.
@@ -264,12 +264,11 @@ def _formula_density(
     def density(r: np.ndarray, owner: np.ndarray) -> np.ndarray:
         fr = curve.frame(r)
         c1 = fr.c1
-        eps_sq = fr.dc1**2 - c1 * fr.ddc1 - 1.0
         fv = np.empty_like(r)
         for F, part in _runs(big_fs, owner):
             fv[part] = F._value_at(r[part], c1[part])
         hv, hd = bumps(r, owner)
-        return math.pi * fv**2 * c1 * (hv**2 * eps_sq - c1**2 * hd**2)
+        return math.pi * fv**2 * c1 * (hv**2 * fr.eps_sq - c1**2 * hd**2)
 
     return density
 
@@ -283,8 +282,8 @@ def mc_bump_formula(
 ) -> MCResult:
     """Closed-form radial integral of the curvature for the bump family.
 
-    Integrand pi F^2 c1 (h^2 eps^2 - c1^2 h'^2) with eps^2 expanded as
-    dc1^2 - c1 ddc1 - 1; the defect term is the only positive contribution
+    Integrand pi F^2 c1 (h^2 eps^2 - c1^2 h'^2) with eps^2 the frame's
+    eps_sq; the defect term is the only positive contribution
     and vanishes identically on the sphere.  The band is split at the
     joins of h, and each smooth piece is one 32-node panel checked against
     its two 32-node halves, so a plateau bump usually needs a single
@@ -493,9 +492,8 @@ def optimal_bump_ratio(F: RadialProfile, curve: ProfileCurve, n: int = 4000) -> 
     fi = curve.frame(r[1:-1])
     big_f_mid = F.value(mid)
     big_f_int = F.value(r[1:-1])
-    eps_sq = fi.dc1**2 - fi.c1 * fi.ddc1 - 1.0
     penalty = big_f_mid**2 * c1_mid**3
-    gain = big_f_int**2 * fi.c1 * np.maximum(eps_sq, 0.0)
+    gain = big_f_int**2 * fi.c1 * np.maximum(fi.eps_sq, 0.0)
     peak = float(np.max(gain))
     if peak <= 1e-12 * float(np.max(penalty)):
         return math.inf

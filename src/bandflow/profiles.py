@@ -86,9 +86,6 @@ class RadialProfile(ABC):
         """
         return self.value(r)
 
-    def __call__(self, r) -> float | np.ndarray:
-        return self.value(r)
-
     def __add__(self, other: "RadialProfile") -> "SumProfile":
         return SumProfile(self, other)
 
@@ -320,7 +317,8 @@ class HelmholtzProfile(RadialProfile):
     A negative rate selects the growing branch with slope +|rate|.
     Second and third derivatives come from the equation itself, so only f
     and f' are interpolated, as Hermite pieces on the curve's node grid
-    that the curve's own interval lookup evaluates.
+    that the curve's own fold and interval lookup evaluate, so a query
+    outside the band raises ValueError here as it does on the curve.
 
     f and f' are integrated jointly with the meridian system, state
     (c1, c2, f, f'), so that the weight dc1/c1 comes from the state in
@@ -369,19 +367,16 @@ class HelmholtzProfile(RadialProfile):
         self._f = _hermite_coefficients(radii, f_nodes, df_nodes)
         self._df = _hermite_coefficients(radii, df_nodes, ddf_nodes)
 
-    def _fold(self, r: np.ndarray) -> np.ndarray:
-        return np.minimum(np.abs(r), self.curve.r_b)
-
     def _f_df(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f and f' at r, from one interval lookup."""
-        f, df = self.curve._hermite(self._fold(r), self._f, self._df)
+        f, df = self.curve._hermite(self.curve._fold(r)[1], self._f, self._df)
         return f, np.sign(r) * df
 
     def value(self, r):
-        return self.curve._hermite(self._fold(r), self._f)[0]
+        return self.curve._hermite(self.curve._fold(r)[1], self._f)[0]
 
     def d1(self, r):
-        return np.sign(r) * self.curve._hermite(self._fold(r), self._df)[0]
+        return np.sign(r) * self.curve._hermite(self.curve._fold(r)[1], self._df)[0]
 
     def d2(self, r):
         fr = self.curve.frame(r)

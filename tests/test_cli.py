@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from bandflow import SurfaceSpec, solve_profile
 from bandflow.cli import main
 
 
@@ -204,3 +205,100 @@ def test_tol_is_refused_where_nothing_integrates(command, capsys):
     code, out, _ = _run(capsys, [command, "--a", "2", "--b", "0.5", "--format", "json"])
     assert code == 0
     assert "tol" not in json.loads(out)["config"]
+
+
+def _csv_rows(text):
+    lines = _data_lines(text)
+    header = lines[0].split(",")
+    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+def test_stability_csv_row_matches_the_json_report(capsys):
+    argv = ["stability", "--a", "2", "--b", "0.5"]
+    code, out, _ = _run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    assert _data_lines(out)[0] == "verdict,fprime_min,fprime_max,lambda1,margin"
+    (row,) = _csv_rows(out)
+    _, text, _ = _run(capsys, argv)
+    report = json.loads(text)["stability"]
+    assert row["verdict"] == report["verdict"]
+    for key in ("fprime_min", "fprime_max", "margin"):
+        assert float(row[key]) == report[key]
+    assert float(row["lambda1"]) == report["lambda1"]["value"]
+
+
+def test_lambda1_only_csv_lists_the_modes_of_the_json_table(capsys):
+    argv = ["stability", "--a", "2", "--b", "0.5", "--lambda1-only"]
+    code, out, _ = _run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    assert _data_lines(out)[0] == "mode,coarse,fine,richardson,error_bar"
+    rows = _csv_rows(out)
+    _, text, _ = _run(capsys, argv)
+    modes = json.loads(text)["lambda1"]["modes"]
+    assert len(rows) == len(modes) >= 2
+    for row, mode in zip(rows, modes):
+        assert int(row["mode"]) == mode["mode"]
+        for key in ("coarse", "fine", "richardson"):
+            assert float(row[key]) == mode[key]
+        # the JSON table leaves out the bar, |fine - coarse| / 3
+        assert math.isclose(
+            float(row["error_bar"]), abs(mode["fine"] - mode["coarse"]) / 3.0, rel_tol=1e-12
+        )
+
+
+def test_gaussian_family_defaults_kappa_to_a_tenth_at_the_edge(capsys):
+    code, out, _ = _run(capsys, ["stability", "--a", "2", "--b", "0.5", "--family", "gaussian"])
+    assert code == 0
+    config = json.loads(out)["config"]
+    r_b = solve_profile(SurfaceSpec(2.0, 0.5)).r_b
+    assert config["kappa"] == math.log(10.0) / r_b**2
+    assert config["delta"] == 1e-3
+
+
+def test_helmholtz_family_rate_is_the_fraction_of_lambda1(capsys):
+    code, out, _ = _run(capsys, ["stability", "--a", "3", "--b", "0.7", "--family", "helmholtz"])
+    assert code == 0
+    payload = json.loads(out)
+    lam = payload["stability"]["lambda1"]["value"]
+    assert payload["config"]["fraction"] == 0.85
+    assert payload["config"]["rate"] == 0.85 * lam
+    # the slope of the Helmholtz flow is -rate everywhere
+    assert math.isclose(payload["stability"]["fprime_min"], -0.85 * lam, rel_tol=1e-6)
+    assert math.isclose(payload["stability"]["fprime_max"], -0.85 * lam, rel_tol=1e-6)
+
+
+def test_witness_csv_row_is_the_sweep_row_of_its_cell(capsys):
+    cell = ["--a", "1.5", "--b", "0.3"]
+    code, out, _ = _run(capsys, ["witness", *cell, "--format", "csv"])
+    assert code == 0
+    _, swept, _ = _run(capsys, ["sweep", *cell])
+    assert _data_lines(out) == _data_lines(swept)
+    assert len(_data_lines(out)) == 2
+
+
+def test_sweep_json_rows_equal_the_csv_rows(capsys):
+    grid = ["--a", "1.5,2", "--b", "0.5"]
+    code, out, _ = _run(capsys, ["sweep", *grid, "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    _, text, _ = _run(capsys, ["sweep", *grid])
+    csv_rows = _csv_rows(text)
+    assert len(rows) == len(csv_rows) == 2
+    for row, cells in zip(rows, csv_rows):
+        assert set(row) == set(cells)
+        assert row["verdict"] == cells["verdict"] and row["branch"] == cells["branch"]
+        for key, cell in cells.items():
+            if key not in ("verdict", "branch"):
+                assert float(cell) == row[key], key
+
+
+def test_config_file_grid_lists(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"a": [2, 1.5], "b": [0.5]}))
+    code, out, _ = _run(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 0
+    config_line = next(ln for ln in out.splitlines() if ln.startswith("# config:"))
+    config = json.loads(config_line[len("# config:"):])
+    assert (config["a"], config["b"]) == ([2.0, 1.5], [0.5])
+    rows = _csv_rows(out)
+    assert [(float(r["a"]), float(r["b"])) for r in rows] == [(2.0, 0.5), (1.5, 0.5)]

@@ -198,3 +198,16 @@ def test_family_validation(band):
         GaussianProfile(0.1, 0.0)
     with pytest.raises(ValueError):
         CurvePowerProfile(band, 0.0, 1e-3)
+
+
+@pytest.mark.parametrize("outside", [1.5, math.nan])
+def test_helmholtz_refuses_radii_off_the_band(band, outside):
+    # f and f' fold through the curve, so they check the band as f'' and
+    # f''' (which read the curve's frame) do
+    f = HelmholtzProfile(band, 1.5)
+    r = outside * band.r_b
+    for method in (f.value, f.d1, f.d2, f.d3):
+        with pytest.raises(ValueError):
+            method(r)
+        with pytest.raises(ValueError):
+            method(np.array([0.0, -r]))

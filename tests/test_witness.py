@@ -234,3 +234,67 @@ def test_one_cell_makes_few_formula_density_calls(monkeypatch):
     # one call per refinement round of each lockstep step, all candidates
     # together, against one per round per width when each width ran alone
     assert 0 < len(calls) <= 40
+
+
+def _every_report_positive(monkeypatch):
+    # the lab-frame certificate never fires on the searched families
+    # (criterion 6), so the certification branch is reached by relabeling
+    real = witness.check_arnold
+    monkeypatch.setattr(
+        witness,
+        "check_arnold",
+        lambda *args, **kwargs: replace(real(*args, **kwargs), verdict="positive-branch"),
+    )
+
+
+def test_certification_branch_verifies_the_winner_on_three_routes(monkeypatch):
+    _every_report_positive(monkeypatch)
+    res = find_witness(SurfaceSpec(3.0, 0.7))
+    assert res.verdict == "certified" and res.certified
+    assert (res.family, res.f_params) == ("power", {"p": 12.0, "delta": 1e-3})
+    assert abs(res.w - 0.1739) <= 1e-4
+    assert [m.method for m in res.mc_results] == [
+        "formula-1d",
+        "reduced-2d",
+        "direct-geometric",
+    ]
+    for m in res.mc_results:
+        assert abs(m.value - 0.32814) <= 1e-5
+    assert res.diagnostics["verification"] == {"methods_agree": True, "significant": True}
+    assert "conjugate point" in res.implication
+
+
+def test_certification_refuses_routes_that_disagree(monkeypatch):
+    _every_report_positive(monkeypatch)
+    real = witness.mc_direct
+
+    def shifted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return replace(result, value=result.value + 1e-3)
+
+    monkeypatch.setattr(witness, "mc_direct", shifted)
+    res = find_witness(SurfaceSpec(3.0, 0.7))
+    assert res.verdict == "not-found"
+    assert len(res.mc_results) == 3
+    assert res.diagnostics["verification"]["methods_agree"] is False
+    assert "No certified pair" in res.implication
+
+
+@pytest.mark.parametrize(
+    "x, y, agree",
+    [
+        (1.0, 1.0 + 0.9e-5, True),
+        (1.0, 1.0 + 1.1e-5, False),
+        (-2.0, -2.0 - 1.9e-5, True),
+        (0.0, 0.9e-8, True),
+        (0.0, 1.1e-8, False),
+        (1e-4, -1e-4, False),
+    ],
+)
+def test_route_agreement_rule(x, y, agree):
+    # relative 1e-5 of the larger magnitude, with an absolute floor of 1e-8
+    def result(value):
+        return misiolek.MCResult(value, "formula-1d", 0.0, 1)
+
+    assert witness._agreement(result(x), result(y)) is agree
+    assert witness._agreement(result(y), result(x)) is agree
