@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DivisionNearZero, QuadratureFailure
 from .geometry import ProfileCurve, _pointwise
 from .profiles import RadialProfile
-from .quadrature import integrate_batch
+from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
     "SeparableField",
@@ -65,8 +65,7 @@ def fprime_from_f(f: RadialProfile, curve: ProfileCurve, r) -> float | np.ndarra
 class StreamFunction(RadialProfile):
     """Stream function of the zonal flow generated by f, normalized to 0 at r=0.
 
-    The value integrates f/c1 adaptively from the equator, every query
-    point's integral in one batched quadrature; the derivatives
+    The value integrates f/c1 adaptively from the equator; the derivatives
     expand psi' = f/c1 through the curve's exact c1 chain, so the third
     derivative that the slope formula needs is free of numerical
     differencing.
@@ -77,25 +76,22 @@ class StreamFunction(RadialProfile):
         self.curve = curve
 
     def value(self, r):
-        def integrand(x: np.ndarray, _owner: np.ndarray) -> np.ndarray:
+        def integrand(x: np.ndarray) -> np.ndarray:
             return self.f.value(x) / self.curve.c1(x)
 
-        size = np.abs(r).ravel().tolist()
-        results = integrate_batch(
-            integrand,
-            [(0.0, x) for x in size],
-            [()] * len(size),
-            rel_tol=1e-10,
-            abs_tol=1e-13,
-            nodes_per_panel=64,
-            initial_panels=4,
-        )
-        worst = max((result.error for result in results), default=0.0)
-        if worst > 1e-9:
-            raise QuadratureFailure(f"stream quadrature error {worst:.3e} exceeds 1e-9")
-        out = np.array([result.value for result in results]).reshape(r.shape)
-        # +0.0 at r = -0.0 as well, where copysign would give -0.0
-        return np.where(r == 0.0, 0.0, np.copysign(out, r))
+        out = np.zeros_like(r)
+        for i, radius in enumerate(r.flat):
+            if radius == 0.0:
+                continue
+            result = adaptive_gauss_legendre(
+                integrand, 0.0, abs(radius), rel_tol=1e-10, abs_tol=1e-13
+            )
+            if result.error > 1e-9:
+                raise QuadratureFailure(
+                    f"stream quadrature error {result.error:.3e} exceeds 1e-9"
+                )
+            out.flat[i] = math.copysign(result.value, radius)
+        return out
 
     def d1(self, r):
         return self.f.value(r) / self.curve.frame(r).c1

@@ -410,7 +410,8 @@ def arc_length_from_height(a: float, z: float) -> float:
     """
     if not abs(z) < 1.0:
         raise ValueError(f"height must satisfy |z| < 1, got {z}")
-    return math.copysign(ellipeinc(math.asin(abs(z)), 1.0 - a * a), z)
+    # + 0.0 keeps the length at z = -0.0 the exact +0.0 of z = 0.0
+    return math.copysign(ellipeinc(math.asin(abs(z)), 1.0 - a * a), z) + 0.0
 
 
 def curvature_defect(curve: ProfileCurve, r) -> float | np.ndarray:

@@ -90,17 +90,6 @@ def test_stream_function_basics(band):
     assert math.isclose(float(psi.value(0.4)), 0.17756698937922005, rel_tol=1e-9)
 
 
-def test_stream_function_batch_equals_lone_points(band):
-    # one batched quadrature for all points gives each point's lone value,
-    # and +0.0 at both zeros
-    psi = StreamFunction(HelmholtzProfile(band, 2.0), band)
-    r = np.array([-0.0, 0.0, -0.4, 0.25, band.r_b])
-    batch = psi.value(r)
-    assert batch.tolist() == [psi.value(float(x)) for x in r]
-    assert [math.copysign(1.0, v) for v in batch[:2]] == [1.0, 1.0]
-    assert math.copysign(1.0, psi.value(-0.0)) == 1.0
-
-
 def test_zonal_velocity_profile_is_scaled_f(band, rng):
     f = GaussianProfile(1e-3, 3.0)
     big_f = ZonalVelocityProfile(f, band)

@@ -59,6 +59,12 @@ def test_arc_length_is_odd():
     assert minus == -plus
 
 
+def test_arc_length_at_both_zeros_is_positive_zero():
+    for z in (0.0, -0.0):
+        length = arc_length_from_height(2.0, z)
+        assert length == 0.0 and math.copysign(1.0, length) == 1.0, z
+
+
 def test_band_height_reached():
     for a, b in [(1.2, 0.3), (2.0, 0.5), (3.0, 0.7)]:
         curve = solve_profile(SurfaceSpec(a, b))
