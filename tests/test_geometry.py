@@ -54,15 +54,11 @@ def test_arc_length_matches_symbolic_values():
 
 def test_arc_length_is_odd():
     assert arc_length_from_height(2.0, 0.0) == 0.0
+    # both zeros give +0.0
+    assert math.copysign(1.0, arc_length_from_height(2.0, -0.0)) == 1.0
     plus = arc_length_from_height(2.0, 0.4)
     minus = arc_length_from_height(2.0, -0.4)
     assert minus == -plus
-
-
-def test_arc_length_at_both_zeros_is_positive_zero():
-    for z in (0.0, -0.0):
-        length = arc_length_from_height(2.0, z)
-        assert length == 0.0 and math.copysign(1.0, length) == 1.0, z
 
 
 def test_band_height_reached():
