@@ -2,25 +2,24 @@
 
 The band is the surface x^2 + y^2 = a^2 (1 - z^2) with |z| <= b, carrying
 the induced metric dr^2 + c1(r)^2 dtheta^2 once the meridian is traversed
-by arc length.  The profile pair (c1, c2) = (distance from the axis,
-height) solves the autonomous system
+by arc length.  The meridian is the ellipse arc (c1, c2) = (a cos t, sin t),
+0 <= t <= asin b, and its arc length from the equator has the closed form
+r(t) = E(t | 1 - a^2), the incomplete elliptic integral of the second kind
+(DLMF 19.2).  solve_profile samples it uniformly in t, so every node lies
+on the ellipse and the last one at height b by construction; no ODE is
+integrated.  Between nodes c1 and c2 are cubic Hermite pieces in r whose
+slopes are the right-hand side of the arc-length system
 
-    (dc1/dr, dc2/dr) = (-a^2 c2, c1) / S,    S = sqrt(c1^2 + a^4 c2^2),
+    (dc1/dr, dc2/dr) = (-a^2 c2, c1) / S,    S = sqrt(c1^2 + a^4 c2^2).
 
-from (a, 0) at the equator until the height reaches b.  Everything
-downstream (defect, connection coefficients, stream calculus) consumes the
-derivatives of c1 up to third order, so all of them are produced here by
-differentiating the right-hand side in closed form.  No derivative in this
-module is ever taken by finite differences.
+Everything downstream (defect, connection coefficients, stream calculus)
+consumes the derivatives of c1 up to third order, so all of them are
+produced here by differentiating that right-hand side in closed form.  No
+derivative in this module is ever taken by finite differences.
 
-The solver's dense output is read at the node grid in one vectorized pass
-(_dense_rows) that is bit-identical to scipy's OdeSolution (verified on
-scipy 1.17.1), and the cubic Hermite pieces built on those nodes are
-computed here in closed form (_hermite_coefficients), so the package never
-imports scipy.interpolate.
-
-The arc-length oracle arc_length_from_height is closed-form: the
-incomplete elliptic integral of the meridian.
+The Hermite pieces are computed here in closed form
+(_hermite_coefficients), bit-identical to scipy's CubicHermiteSpline, so
+the package never imports scipy.interpolate.
 """
 from __future__ import annotations
 
@@ -29,10 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import ellipeinc
 
-from .errors import EventNotReached, NegativeRadicand, ToleranceFailure
+from .errors import NegativeRadicand, ToleranceFailure
 
 __all__ = [
     "PROFILE_COLUMNS",
@@ -47,10 +45,11 @@ __all__ = [
 
 PROFILE_COLUMNS = ("r", "c1", "c2", "dc1", "dc2", "ddc1", "epsilon")
 
-# DOP853 tolerances of every integration that carries the meridian: the
-# profile solve here and the Helmholtz build in profiles
-_RTOL = 1e-12
-_ATOL = 1e-14
+# the criterion-1 tolerance of the on-ellipse invariant c1^2 - a^2 (1 - c2^2)
+# at the node midpoints.  Its terms are of size a^2 and it rounds by up to
+# four ulps of a^2 (measured), so above _A_MAX double precision cannot hold it
+_INVARIANT_TOL = 1e-9
+_A_MAX = math.sqrt(_INVARIANT_TOL / (4.0 * np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -61,14 +60,12 @@ class SurfaceSpec:
     sphere, the degenerate control case); 0 < b < 1 keeps the band away
     from the poles.
 
-    solve_profile does not handle every accepted spec.  Measured on the
-    edge probes of perfbench's surfaces workload, seeds 1-8:
-      - oblate, a in [100, 1000]: 11 of 32 solve within the criterion-1
-        invariants, 15 raise ToleranceFailure, and 6 solve but leave the
-        ellipse by 1.4e-8 to 2.5e-5 between nodes;
-      - near the pole, a = 1 and b in [0.99, 0.9999]: 27 of 32 solve, 5
-        raise EventNotReached;
-      - thin, b in [1e-7, 1e-3]: all 32 solve.
+    solve_profile handles every accepted spec with a <= 1061 and b at
+    least 4 a n^2 times the smallest normal double, for n = max(1001,
+    128 a + 1) nodes (1.5e-294 at a = 1000, 8.9e-302 at a = 1): on a log
+    grid of that box, b up to 1 - 1e-9, the criterion-1 invariants hold to
+    <= 1e-9 at every node midpoint.  Outside it, solve_profile raises
+    ToleranceFailure before making any node.
     """
 
     a: float
@@ -148,40 +145,6 @@ def _hermite_coefficients(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> np.
     return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
 
 
-def _dense_rows(sol, nodes: np.ndarray, rows: list[int]) -> np.ndarray:
-    """State rows `rows` of a forward DOP853 OdeSolution at ascending nodes.
-
-    One vectorized pass with the arithmetic of scipy's OdeSolution.__call__
-    and Dop853DenseOutput._call_impl, so the result equals
-    sol(nodes)[rows] bit for bit (verified on scipy 1.17.1): each node takes
-    the step searchsorted(ts_sorted, node, side) - 1, clipped to the steps;
-    with x = (node - t_old) / h it sums the step's coefficients F from the
-    last, multiplying by x and 1 - x in turn, onto zeros, and adds y_old.
-    Ascending nodes visit the steps in order, so each step's coefficients
-    are repeated over its run of nodes rather than gathered node by node.
-    """
-    steps = sol.interpolants
-    step = np.searchsorted(sol.ts_sorted, nodes, side=sol.side)
-    step -= 1
-    np.clip(step, 0, len(steps) - 1, out=step)
-    counts = np.bincount(step, minlength=len(steps))
-
-    def spread(per_step: np.ndarray) -> np.ndarray:
-        return np.repeat(per_step, counts, axis=-1)
-
-    t_old = spread(np.array([s.t_old for s in steps]))
-    x = (nodes - t_old) / spread(np.array([s.h for s in steps]))
-    x_bar = 1 - x
-    # (power, row, step), the power order reversed as the Horner loop reads it
-    coeff = np.array([s.F for s in steps])[:, ::-1, rows].transpose(1, 2, 0)
-    y = np.zeros((len(rows), nodes.size))
-    for i, per_step in enumerate(coeff):
-        y += spread(per_step)
-        y *= x if i % 2 == 0 else x_bar
-    y += spread(np.array([s.y_old for s in steps])[:, rows].T)
-    return y
-
-
 def _pointwise(fn):
     """Let an array-only radial function also take a scalar r.
 
@@ -216,9 +179,10 @@ class ProfileCurve:
         ddc2  = (dc1 S - c1 Sdot) / S^2
 
     and one more derivative of ddc1 for the third order.  radii is the
-    node grid on [0, r_b], uniform up to rounding.  A query finds its node
-    interval once and evaluates both pieces from that one lookup.
-    Instances are safe to share across threads.
+    ascending node grid on [0, r_b] and angles the nodes' angles t on the
+    ellipse (a cos t, sin t).  A query finds its node interval once, by
+    bisection, and evaluates both pieces from that one lookup.  Instances
+    are safe to share across threads.
     """
 
     def __init__(
@@ -238,8 +202,8 @@ class ProfileCurve:
         # interval; _hermite evaluates them
         self._c1 = _hermite_coefficients(radii, c1_nodes, -a2 * c2_nodes / s)
         self._c2 = _hermite_coefficients(radii, c2_nodes, c1_nodes / s)
-        self._per_step = (radii.size - 1) / radii[-1]
         self.radii = radii
+        self.angles = np.arctan2(spec.a * c2_nodes, c1_nodes)
 
     def __repr__(self) -> str:
         return (
@@ -268,13 +232,7 @@ class ProfileCurve:
         order, with s = x - radii[i].
         """
         radii = self.radii
-        last = radii.size - 2
-        i = np.minimum((x * self._per_step).astype(np.intp), last)
-        np.maximum(i, 0, out=i)  # a nan query casts to a negative index
-        # the grid is uniform only up to rounding, so i may be one off
-        i -= x < radii[i]
-        i += x >= radii[i + 1]
-        np.minimum(i, last, out=i)
+        i = np.searchsorted(radii[1:-1], x, side="right")
         s = x - radii[i]
         s2 = s * s
         s3 = s2 * s
@@ -327,77 +285,38 @@ class ProfileCurve:
         return _like(fr.dc1 / fr.c1, r)
 
 
-def meridian_slopes(c1: float, c2: float, a2: float, a4: float) -> tuple[float, float]:
-    """Right-hand side (dc1, dc2) = (-a^2 c2, c1) / S of the profile system.
-
-    Scalar floats in, scalar floats out; a2 and a4 are a^2 and a^4.  Every
-    integration that carries the meridian (the profile solve and the
-    Helmholtz build) calls this one copy.
-    """
-    s = math.sqrt(c1 * c1 + a4 * c2 * c2)
-    return -a2 * c2 / s, c1 / s
-
-
 def solve_profile(spec: SurfaceSpec) -> ProfileCurve:
-    """Integrate the profile system and package it as a ProfileCurve.
+    """Sample the closed-form meridian and package it as a ProfileCurve.
 
-    The integration runs forward from the equator with a terminal event at
-    height b; the event is root-refined on the dense output, and the node
-    grid (spacing <= 5e-4, at least 1001 points) stores values whose
-    Hermite interpolation error sits far below the 1e-9 target.  The nodes
-    are read from the dense output in one vectorized pass (_dense_rows),
-    bit-identical to scipy's OdeSolution (verified on scipy 1.17.1).  Raises
-    EventNotReached if the height never attains b and ToleranceFailure if
-    the sampled curve drifts off the ellipse or misses the endpoint.
+    The nodes sit uniformly in the angle t on [0, asin b]: c1 = a cos t,
+    c2 = sin t and r = E(t | 1 - a^2).  There are at least 1001 of them
+    and 128 per unit of a, so the equator's tip, of curvature radius 1/a
+    over t < 1/a, holds some 80 nodes.  Every node lies on the ellipse,
+    the last one at height b and arc length arc_length_from_height(a, b),
+    and c1 > 0 throughout, all by construction.
+
+    Raises ToleranceFailure, before any node is made, where double
+    precision cannot carry the profile: for a > _A_MAX the on-ellipse
+    invariant rounds by more than its tolerance, and below a thinness of
+    about a n^2 / 1.8e308 the c1 pieces' leading coefficients, which grow
+    like a n^2 / b once a cos t rounds to a, come within a factor 4 of
+    overflow.
     """
     a, b = spec.a, spec.b
-    a2, a4 = a * a, a**4
-
-    def rhs(_r: float, y: np.ndarray) -> tuple[float, float]:
-        c1, c2 = y.tolist()
-        return meridian_slopes(c1, c2, a2, a4)
-
-    def reach_height(_r: float, y: np.ndarray) -> float:
-        return y[1] - b
-
-    reach_height.terminal = True
-    reach_height.direction = 1.0
-
-    # a + 2 exceeds the quarter-meridian length, so a validated spec must
-    # trip the event strictly inside the span
-    span = a + 2.0
-    sol = solve_ivp(
-        rhs,
-        (0.0, span),
-        [a, 0.0],
-        method="DOP853",
-        rtol=_RTOL,
-        atol=_ATOL,
-        dense_output=True,
-        events=reach_height,
-    )
-    if sol.t_events[0].size == 0:
-        raise EventNotReached(
-            f"height c2 never reached b={b} while integrating to r={span}"
+    if a > _A_MAX:
+        raise ToleranceFailure(
+            f"a={a:g} exceeds {_A_MAX:.0f}: c1^2 ~ a^2 rounds by more than "
+            f"the {_INVARIANT_TOL:g} on-ellipse tolerance"
         )
-    # the event locator already root-finds on the dense output to ~4 eps
-    r_b = float(sol.t_events[0][0])
-
-    n = max(1001, math.ceil(r_b / 5e-4) + 1)
-    radii = np.linspace(0.0, r_b, n)
-    c1_nodes, c2_nodes = _dense_rows(sol.sol, radii, [0, 1])
-
-    ellipse_drift = float(np.max(np.abs(c1_nodes**2 + a2 * c2_nodes**2 - a2)))
-    if ellipse_drift > 1e-8:
-        raise ToleranceFailure(f"on-ellipse drift {ellipse_drift:.3e} exceeds 1e-8")
-    end_misfit = abs(float(c2_nodes[-1]) - b)
-    if end_misfit > 1e-10:
-        raise ToleranceFailure(f"c2(r_b) misses b by {end_misfit:.3e} (> 1e-10)")
-    # dc2 = c1 / S, so c1 > 0 is also dc2 > 0
-    if not np.all(c1_nodes > 0.0):
-        raise ToleranceFailure("profile positivity lost: need c1 > 0 and dc2 > 0")
-
-    return ProfileCurve(spec, r_b, radii, c1_nodes, c2_nodes)
+    n = max(1001, math.ceil(128.0 * a) + 1)
+    thinnest = 4.0 * a * n * n * np.finfo(float).tiny
+    if b < thinnest:
+        raise ToleranceFailure(
+            f"b={b:g} is below {thinnest:.3g}: the Hermite pieces of {n} nodes would overflow"
+        )
+    t = np.linspace(0.0, math.asin(b), n)
+    radii = ellipeinc(t, 1.0 - a * a)
+    return ProfileCurve(spec, radii[-1], radii, a * np.cos(t), np.sin(t))
 
 
 def arc_length_from_height(a: float, z: float) -> float:

@@ -17,15 +17,7 @@ from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceFailure
-from .geometry import (
-    _ATOL,
-    _RTOL,
-    ProfileCurve,
-    _dense_rows,
-    _hermite_coefficients,
-    _pointwise,
-    meridian_slopes,
-)
+from .geometry import ProfileCurve, _hermite_coefficients, _pointwise
 
 __all__ = [
     "ConstantProfile",
@@ -38,6 +30,44 @@ __all__ = [
     "RadialProfile",
     "SumProfile",
 ]
+
+# DOP853 tolerances of the one integration in the package, the Helmholtz build
+_RTOL = 1e-12
+_ATOL = 1e-14
+
+
+def _dense_rows(sol, nodes: np.ndarray, rows: list[int]) -> np.ndarray:
+    """State rows `rows` of a forward DOP853 OdeSolution at ascending nodes.
+
+    One vectorized pass with the arithmetic of scipy's OdeSolution.__call__
+    and Dop853DenseOutput._call_impl, so the result equals
+    sol(nodes)[rows] bit for bit (verified on scipy 1.17.1): each node takes
+    the step searchsorted(ts_sorted, node, side) - 1, clipped to the steps;
+    with x = (node - t_old) / h it sums the step's coefficients F from the
+    last, multiplying by x and 1 - x in turn, onto zeros, and adds y_old.
+    Ascending nodes visit the steps in order, so each step's coefficients
+    are repeated over its run of nodes rather than gathered node by node.
+    """
+    steps = sol.interpolants
+    step = np.searchsorted(sol.ts_sorted, nodes, side=sol.side)
+    step -= 1
+    np.clip(step, 0, len(steps) - 1, out=step)
+    counts = np.bincount(step, minlength=len(steps))
+
+    def spread(per_step: np.ndarray) -> np.ndarray:
+        return np.repeat(per_step, counts, axis=-1)
+
+    t_old = spread(np.array([s.t_old for s in steps]))
+    x = (nodes - t_old) / spread(np.array([s.h for s in steps]))
+    x_bar = 1 - x
+    # (power, row, step), the power order reversed as the Horner loop reads it
+    coeff = np.array([s.F for s in steps])[:, ::-1, rows].transpose(1, 2, 0)
+    y = np.zeros((len(rows), nodes.size))
+    for i, per_step in enumerate(coeff):
+        y += spread(per_step)
+        y *= x if i % 2 == 0 else x_bar
+    y += spread(np.array([s.y_old for s in steps])[:, rows].T)
+    return y
 
 
 class RadialProfile(ABC):
@@ -320,15 +350,17 @@ class HelmholtzProfile(RadialProfile):
     that the curve's own fold and interval lookup evaluate, so a query
     outside the band raises ValueError here as it does on the curve.
 
-    f and f' are integrated jointly with the meridian system, state
-    (c1, c2, f, f'), so that the weight dc1/c1 comes from the state in
-    plain float arithmetic; reading it from the curve instead would cost
-    a spline evaluation and the derivative chain at every solver stage,
-    some twenty times the equation itself.  The curve is consulted once,
-    on its own node grid, where f and f' are read from the dense output in
-    one vectorized pass, bit-identical to scipy's OdeSolution (verified on
-    scipy 1.17.1).  Raises ConvergenceFailure when the integrator
-    stops short of the band edge (a rate too large to resolve).
+    The state (f, f') is integrated in the meridian angle t, where the
+    arc-length speed is s = dr/dt = sqrt(1 + (a^2 - 1) sin^2 t) and the
+    weight is dc1/c1 = -tan(t) / s, so the right-hand side
+
+        d(f, f')/dt = (s f', -tan(t) f' - rate s f)
+
+    is plain float arithmetic and the meridian itself is never integrated.
+    The dense output is read at the curve's node angles in one vectorized
+    pass (_dense_rows), bit-identical to scipy's OdeSolution (verified on
+    scipy 1.17.1).  Raises ConvergenceFailure when the integrator stops
+    short of the band edge (a rate too large to resolve).
     """
 
     def __init__(self, curve: ProfileCurve, rate: float):
@@ -336,18 +368,19 @@ class HelmholtzProfile(RadialProfile):
             raise ValueError(f"rate must be finite and nonzero, got {rate}")
         self.curve = curve
         self.rate = rate = float(rate)
-        a2 = curve.spec.a ** 2
-        a4 = a2 * a2
+        a2m1 = curve.spec.a ** 2 - 1.0
 
-        def rhs(_r: float, y: np.ndarray) -> list[float]:
-            c1, c2, f, df = y.tolist()
-            dc1, dc2 = meridian_slopes(c1, c2, a2, a4)
-            return [dc1, dc2, df, (dc1 / c1) * df - rate * f]
+        def rhs(t: float, y: np.ndarray) -> list[float]:
+            f, df = y.tolist()
+            sin_t = math.sin(t)
+            s = math.sqrt(1.0 + a2m1 * sin_t * sin_t)
+            return [s * df, -math.tan(t) * df - rate * s * f]
 
+        angles = curve.angles
         sol = solve_ivp(
             rhs,
-            (0.0, curve.r_b),
-            [curve.spec.a, 0.0, 1.0, 0.0],
+            (0.0, angles[-1]),
+            [1.0, 0.0],
             method="DOP853",
             rtol=_RTOL,
             atol=_ATOL,
@@ -356,10 +389,10 @@ class HelmholtzProfile(RadialProfile):
         if sol.status != 0:
             raise ConvergenceFailure(
                 f"Helmholtz integration at rate {self.rate:.6g} stopped at "
-                f"r={sol.t[-1]:.6g} of {curve.r_b:.6g}: {sol.message}"
+                f"t={sol.t[-1]:.6g} of {angles[-1]:.6g}: {sol.message}"
             )
         radii = curve.radii
-        f_nodes, df_nodes = _dense_rows(sol.sol, radii, [2, 3])
+        f_nodes, df_nodes = _dense_rows(sol.sol, angles, [0, 1])
         fr = curve.frame(radii)
         ddf_nodes = (fr.dc1 / fr.c1) * df_nodes - self.rate * f_nodes
         # Hermite coefficients on the curve's node grid, which the curve's

@@ -2,19 +2,20 @@
 
 The frozen arc-length values below were produced by symbolic integration
 of sqrt(1 + a^2 t^2 / (1 - t^2)) at 25 digits, so they are independent of
-both the ODE solver and the adaptive quadrature under test.
+the elliptic integral that both the node grid and the arc-length oracle
+use.  A DOP853 run of the arc-length meridian system is the second,
+numerical, independent route.
 """
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.interpolate import CubicHermiteSpline
 
 from bandflow import (
     PROFILE_COLUMNS,
-    EventNotReached,
     HelmholtzProfile,
     ProfileCurve,
     SurfaceSpec,
@@ -210,7 +211,7 @@ def _spy_dense_rows(monkeypatch, module) -> list:
 
 
 def test_node_read_takes_scipys_step_at_each_endpoint(rng):
-    # on a solved meridian the two steps that share an endpoint agree
+    # on a smooth solution the two steps that share an endpoint agree
     # there bit for bit; random coefficients make them disagree, so only
     # the dense output's own step rule reproduces its values
     ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.4, 6))])
@@ -222,18 +223,7 @@ def test_node_read_takes_scipys_step_at_each_endpoint(rng):
     inside = rng.uniform(0.0, ts[-1], 50)
     query = np.sort(np.concatenate([_step_boundary_queries(sol, ts[-1]), inside]))
     for rows in ([0, 1, 2], [2], [1, 0]):
-        assert geometry._dense_rows(sol, query, rows).tobytes() == sol(query)[rows].tobytes()
-
-
-@pytest.mark.parametrize("a, b", [(1.0, 0.5), (2.0, 0.5), (12.0, 0.98), (150.0, 0.5)])
-def test_node_read_equals_the_dense_output(monkeypatch, a, b):
-    seen = _spy_dense_rows(monkeypatch, geometry)
-    curve = solve_profile(SurfaceSpec(a, b))
-    ((sol, nodes, rows),) = seen
-    assert rows == [0, 1] and nodes is curve.radii
-    for query in (nodes, _step_boundary_queries(sol, curve.r_b)):
-        got = geometry._dense_rows(sol, query, rows)
-        assert got.tobytes() == sol(query).tobytes()
+        assert profiles._dense_rows(sol, query, rows).tobytes() == sol(query)[rows].tobytes()
 
 
 @pytest.mark.parametrize("share", [0.85, -0.85])
@@ -242,37 +232,135 @@ def test_helmholtz_node_read_equals_the_dense_output(monkeypatch, band, share):
     seen = _spy_dense_rows(monkeypatch, profiles)
     f = HelmholtzProfile(band, rate)
     ((sol, nodes, rows),) = seen
-    assert rows == [2, 3] and nodes is band.radii
-    for query in (nodes, _step_boundary_queries(sol, band.r_b)):
+    assert rows == [0, 1] and nodes is band.angles
+    for query in (nodes, _step_boundary_queries(sol, band.angles[-1])):
         want = sol(query)
-        assert geometry._dense_rows(sol, query, rows).tobytes() == want[2:].tobytes()
-        assert geometry._dense_rows(sol, query, [0, 1, 2, 3]).tobytes() == want.tobytes()
-    # the pieces built on those nodes are scipy's spline coefficients
-    f_nodes, df_nodes = sol(nodes)[2:]
-    fr = band.frame(nodes)
+        assert profiles._dense_rows(sol, query, rows).tobytes() == want.tobytes()
+        assert profiles._dense_rows(sol, query, [1]).tobytes() == want[1:].tobytes()
+    # the pieces built on those nodes are scipy's spline coefficients in r
+    f_nodes, df_nodes = sol(nodes)
+    radii = band.radii
+    fr = band.frame(radii)
     ddf_nodes = (fr.dc1 / fr.c1) * df_nodes - rate * f_nodes
-    assert f._f.tobytes() == CubicHermiteSpline(nodes, f_nodes, df_nodes).c.tobytes()
-    assert f._df.tobytes() == CubicHermiteSpline(nodes, df_nodes, ddf_nodes).c.tobytes()
+    assert f._f.tobytes() == CubicHermiteSpline(radii, f_nodes, df_nodes).c.tobytes()
+    assert f._df.tobytes() == CubicHermiteSpline(radii, df_nodes, ddf_nodes).c.tobytes()
+
+
+def _worst_invariant(curve) -> float:
+    """Worst criterion-1 deviation of a curve, read at every midpoint of
+    its node grid on both halves: on the ellipse, unit speed, the end
+    height and the closed-form arc length."""
+    a, b = curve.spec.a, curve.spec.b
+    mid = 0.5 * (curve.radii[:-1] + curve.radii[1:])
+    fr = curve.frame(np.concatenate([mid, -mid]))
+    return max(
+        float(np.max(np.abs(fr.c1**2 - a * a * (1.0 - fr.c2**2)))),
+        float(np.max(np.abs(fr.dc1**2 + fr.dc2**2 - 1.0))),
+        abs(float(curve.c2(curve.r_b)) - b),
+        abs(curve.r_b - arc_length_from_height(a, b)),
+    )
 
 
 @pytest.mark.parametrize(
-    "a, b, outcome",
+    "a, b, ode_outcome",
     [
-        (387.58, 0.8968, ToleranceFailure),
-        (755.12, 0.9471, ToleranceFailure),
-        (1.0, 0.99856, EventNotReached),
-        (162.03, 0.4316, None),
-        (215.98, 0.0341, None),
+        (387.58, 0.8968, "ToleranceFailure"),
+        (755.12, 0.9471, "ToleranceFailure"),
+        (1.0, 0.99856, "EventNotReached"),
+        (162.03, 0.4316, "None"),
+        (215.98, 0.0341, "None"),
+        (101.8, 0.953, "off-ellipse"),
+        (390.5, 0.246, "off-ellipse"),
+        (1000.0, 0.98, "off-ellipse"),
     ],
 )
-def test_edge_probe_outcomes(a, b, outcome):
-    # oblate and near-pole inputs that validation accepts: each keeps the
-    # outcome it had when the nodes were read through scipy's OdeSolution
-    if outcome is None:
-        assert isinstance(solve_profile(SurfaceSpec(a, b)), ProfileCurve)
-    else:
-        with pytest.raises(outcome):
-            solve_profile(SurfaceSpec(a, b))
+def test_edge_probe_outcomes(a, b, ode_outcome):
+    # oblate and near-pole inputs that validation accepts; ode_outcome is
+    # what the DOP853 profile solve gave them (an error it raised, None, or
+    # a curve that left the ellipse between nodes); the closed-form nodes
+    # solve every one within the invariants
+    assert _worst_invariant(solve_profile(SurfaceSpec(a, b))) <= 1e-9
+
+
+@pytest.mark.parametrize("a", np.geomspace(1.0, geometry._A_MAX, 7))
+def test_invariants_hold_between_nodes_over_the_envelope(a):
+    n = max(1001, math.ceil(128.0 * a) + 1)
+    thinnest = 4.0 * a * n * n * np.finfo(float).tiny
+    for b in (2.0 * thinnest, 1e-150, 1e-7, 0.02, 0.5, 0.98, 0.9999, 1.0 - 1e-9):
+        assert _worst_invariant(solve_profile(SurfaceSpec(a, b))) <= 1e-9, (a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b", [(1e6, 0.5), (np.nextafter(geometry._A_MAX, 2e3), 0.5), (3.0, 1e-305)]
+)
+def test_refusal_comes_before_any_node(monkeypatch, a, b):
+    # a = 1e6 would take 1.28e8 nodes, about 1 GB per array, so a node
+    # grid made before the refusal fails here instead of being allocated
+    def no_grid(*args, **kwargs):
+        raise AssertionError("node grid made before the refusal")
+
+    monkeypatch.setattr(geometry.np, "linspace", no_grid)
+    with pytest.raises(ToleranceFailure):
+        solve_profile(SurfaceSpec(a, b))
+
+
+def test_every_accepted_spec_solves_or_is_refused():
+    # log-uniform draws over the whole box SurfaceSpec accepts, a up to
+    # 1e7 and b from subnormal to within 1e-12 of the pole
+    rng = np.random.default_rng(20)
+    tiny = np.finfo(float).tiny
+    for _ in range(40):
+        a = 10.0 ** rng.uniform(0.0, 7.0)
+        b = 10.0 ** rng.uniform(-320.0, 0.0) if rng.random() < 0.5 else 1.0 - 10.0 ** rng.uniform(-12.0, 0.0)
+        n = max(1001, math.ceil(128.0 * a) + 1)
+        spec = SurfaceSpec(a, b)
+        if a > geometry._A_MAX or b < 4.0 * a * n * n * tiny:
+            with pytest.raises(ToleranceFailure):
+                solve_profile(spec)
+        else:
+            assert _worst_invariant(solve_profile(spec)) <= 1e-9, (a, b)
+
+
+def _meridian_by_dop853(a: float, b: float):
+    """r_b and the dense (c1, c2) of the arc-length meridian system
+    integrated from the equator to height b: an oracle that never calls
+    the elliptic integral."""
+    a2, a4 = a * a, a**4
+
+    def rhs(_r, y):
+        c1, c2 = y
+        s = math.sqrt(c1 * c1 + a4 * c2 * c2)
+        return [-a2 * c2 / s, c1 / s]
+
+    def reach_height(_r, y):
+        return y[1] - b
+
+    reach_height.terminal = True
+    reach_height.direction = 1.0
+    sol = solve_ivp(
+        rhs,
+        (0.0, a + 2.0),
+        [a, 0.0],
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-15,
+        dense_output=True,
+        events=reach_height,
+    )
+    return float(sol.t_events[0][0]), sol.sol
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.5), (1.5, 0.3), (2.0, 0.5), (3.0, 0.7), (12.0, 0.98)])
+def test_profile_matches_the_integrated_meridian(a, b):
+    curve = solve_profile(SurfaceSpec(a, b))
+    r_b, sol = _meridian_by_dop853(a, b)
+    assert abs(curve.r_b - r_b) <= 1e-10
+    r = np.linspace(0.0, min(r_b, curve.r_b), 2001)
+    c1, c2 = sol(r)
+    dc1 = -a * a * c2 / np.sqrt(c1**2 + a**4 * c2**2)
+    fr = curve.frame(r)
+    for mine, ref in ((fr.c1, c1), (fr.c2, c2), (fr.dc1, dc1)):
+        assert np.max(np.abs(mine - ref)) <= 1e-10
 
 
 def test_profile_table_layout(band):

@@ -92,7 +92,7 @@ def test_helmholtz_construction(band, rng):
 
 
 def test_helmholtz_build_reads_the_frame_once(band, monkeypatch):
-    # the solver stages take dc1/c1 from the integrated meridian; only the
+    # the solver stages take dc1/c1 in closed form in the angle; only the
     # node grid goes through the curve
     calls = []
     frame = ProfileCurve.frame
