@@ -89,7 +89,8 @@ class ProfileFrame:
     dc2 and ddc1 are computed with the frame; ddc2, dddc1 and the defect
     radicand eps_sq are computed on first read and then kept, since not
     every reader needs them.  eps_sq is the package's one copy of the
-    radicand.
+    radicand.  The frame of a grid the curve owns is shared by all its
+    readers, so every member of it, the later ones too, is read-only.
     """
 
     r: np.ndarray
@@ -103,15 +104,21 @@ class ProfileFrame:
     _s: np.ndarray = field(repr=False)
     _sdot: np.ndarray = field(repr=False)
 
+    def _kept(self, values: np.ndarray) -> np.ndarray:
+        """values, read-only when the frame's own members are."""
+        if not self.c1.flags.writeable:
+            values.flags.writeable = False
+        return values
+
     @functools.cached_property
     def eps_sq(self) -> np.ndarray:
         """The defect radicand dc1^2 - c1 ddc1 - 1, unclamped."""
-        return self.dc1**2 - self.c1 * self.ddc1 - 1.0
+        return self._kept(self.dc1**2 - self.c1 * self.ddc1 - 1.0)
 
     @functools.cached_property
     def ddc2(self) -> np.ndarray:
         s = self._s
-        return (self.dc1 * s - self.c1 * self._sdot) / (s * s)
+        return self._kept((self.dc1 * s - self.c1 * self._sdot) / (s * s))
 
     @functools.cached_property
     def dddc1(self) -> np.ndarray:
@@ -121,7 +128,7 @@ class ProfileFrame:
         sddot = (dc1**2 + c1 * ddc1 + a4 * (dc2**2 + c2 * ddc2) - sdot**2) / s
         n = dc2 * s - c2 * sdot
         ndot = ddc2 * s - c2 * sddot
-        return -a2 * (ndot * s - 2.0 * n * sdot) / s**3
+        return self._kept(-a2 * (ndot * s - 2.0 * n * sdot) / s**3)
 
 
 def _like(values: np.ndarray, r) -> float | np.ndarray:
@@ -164,6 +171,52 @@ def _pointwise(fn):
     return wrapper
 
 
+# a curve owns at most this many sample grids (ProfileCurve.sample_grid);
+# the package's own checks ask for ten, besides the node grid
+_MAX_OWNED_GRIDS = 16
+
+
+def _interval_table(radii: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(scale, table, edges, steps) of ProfileCurve._interval on radii.
+
+    [0, r_b] is cut into 4 (n - 1) equal buckets, and x falls in bucket
+    int(x * scale), which never decreases as x grows.  table[j] counts the
+    interior nodes of the buckets below j: they lie below every x of
+    bucket j and the nodes of later buckets above it, so x's interval is
+    table[j] plus the number of bucket-j nodes at or below x.  A bisection
+    in the power-of-two steps that cover the fullest bucket counts them.
+    edges is radii[:-1] padded with +inf, so no step reads past the last
+    interval, which is closed.
+    """
+    n = radii.size
+    buckets = 4 * (n - 1)
+    scale = buckets / radii[-1]
+    counts = np.bincount((radii[1:-1] * scale).astype(np.intp), minlength=buckets + 1)
+    table = np.zeros(buckets + 1, dtype=np.intp)
+    np.cumsum(counts[:-1], out=table[1:])
+    bits = int(counts.max()).bit_length()
+    edges = np.concatenate((radii[:-1], np.full(1 << bits, np.inf)))
+    return scale, table, edges, tuple(1 << k for k in reversed(range(bits)))
+
+
+class _OwnedGrid:
+    """A sample grid a curve handed out: the grid, its folded radii, and
+    the interval lookup and frame once computed."""
+
+    __slots__ = ("grid", "folded", "lookup", "frame")
+
+    def __init__(self, grid: np.ndarray, folded: np.ndarray):
+        self.grid = grid
+        self.folded = folded
+        self.lookup: tuple[np.ndarray, ...] | None = None
+        self.frame: ProfileFrame | None = None
+
+
+def _readonly(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 class ProfileCurve:
     """Immutable arc-length profile supporting evaluation on [-r_b, r_b].
 
@@ -179,10 +232,18 @@ class ProfileCurve:
         ddc2  = (dc1 S - c1 Sdot) / S^2
 
     and one more derivative of ddc1 for the third order.  radii is the
-    ascending node grid on [0, r_b] and angles the nodes' angles t on the
-    ellipse (a cos t, sin t).  A query finds its node interval once, by
-    bisection, and evaluates both pieces from that one lookup.  Instances
-    are safe to share across threads.
+    ascending node grid on [0, r_b], read-only, and angles the nodes'
+    angles t on the ellipse (a cos t, sin t).  A query finds its node
+    interval once, from a table over uniform buckets of r built with the
+    curve (_interval_table): one multiply, one table read and a bisection
+    of a fixed number of steps, one on every band with a <= 3.  Both pieces
+    are evaluated from that one lookup.
+
+    The fixed sample grids of the stability checks (sample_grid) and the
+    node grid belong to the curve: each is read-only, and the curve
+    computes its interval lookup and its frame once, for every profile
+    and every check that reads the same grid.  Instances are safe to
+    share across threads.
     """
 
     def __init__(
@@ -202,8 +263,13 @@ class ProfileCurve:
         # interval; _hermite evaluates them
         self._c1 = _hermite_coefficients(radii, c1_nodes, -a2 * c2_nodes / s)
         self._c2 = _hermite_coefficients(radii, c2_nodes, c1_nodes / s)
-        self.radii = radii
+        self.radii = radii = _readonly(np.array(radii, dtype=float))
         self.angles = np.arctan2(spec.a * c2_nodes, c1_nodes)
+        self._scale, self._table, self._edges, self._steps = _interval_table(radii)
+        # owned grids by (kind, n), and their records by the id of the grid
+        # and of its folded radii; a record keeps both arrays alive
+        self._grids: dict[tuple[str, int], np.ndarray] = {}
+        self._owned: dict[int, _OwnedGrid] = {id(radii): _OwnedGrid(radii, radii)}
 
     def __repr__(self) -> str:
         return (
@@ -211,17 +277,92 @@ class ProfileCurve:
             f"r_b={self.r_b:.12g}, nodes={self.radii.size})"
         )
 
+    def sample_grid(self, kind: str, n: int) -> np.ndarray:
+        """A sample grid of the band, owned by the curve and read-only.
+
+        kind "band" is np.linspace(-r_b, r_b, n), "half" is np.linspace(0,
+        r_b, n) and "mirror" its negation; "interior" and "mid" are the
+        interior nodes and the interval midpoints of np.linspace(-r_b, r_b,
+        n + 1), the grids of a finite-difference pencil on n intervals.
+        The same (kind, n) returns the same array, whose lookup and frame
+        the curve computes once; the mirror shares the half grid's lookup.
+        Past _MAX_OWNED_GRIDS grids a request gets a new array, equal in
+        value, that the curve does not keep.
+        """
+        key = (kind, n)
+        grid = self._grids.get(key)
+        if grid is not None:
+            return grid
+        r_b = self.r_b
+        folded = None
+        if kind == "band":
+            grid = np.linspace(-r_b, r_b, n)
+        elif kind == "half":
+            grid = folded = np.linspace(0.0, r_b, n)
+        elif kind == "mirror":
+            folded = self.sample_grid("half", n)
+            grid = -folded
+        elif kind in ("interior", "mid"):
+            nodes = np.linspace(-r_b, r_b, n + 1)
+            grid = nodes[1:-1].copy() if kind == "interior" else 0.5 * (nodes[:-1] + nodes[1:])
+        else:
+            raise ValueError(f"unknown sample grid {kind!r}")
+        if len(self._grids) >= _MAX_OWNED_GRIDS:
+            return grid
+        if folded is None:
+            folded = self._fold(grid)[1]
+        owned = _OwnedGrid(_readonly(grid), _readonly(folded))
+        self._owned.setdefault(id(owned.folded), owned)
+        self._owned[id(grid)] = owned
+        return self._grids.setdefault(key, grid)
+
+    def _record(self, x: np.ndarray) -> _OwnedGrid | None:
+        """The record of x when x is an owned grid or its folded radii."""
+        owned = self._owned.get(id(x))
+        return owned if owned is not None and (owned.grid is x or owned.folded is x) else None
+
     def _fold(self, r) -> tuple[np.ndarray, np.ndarray]:
         """r as an array of at least one dimension, and |r| for the pieces."""
+        owned = self._record(r)
+        if owned is not None and owned.grid is r:
+            return r, owned.folded
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         size = np.abs(rr)
-        # written so that a nan radius fails it too
+        # written so that a nan radius fails it too, before _interval casts
+        # any radius to an index
         if not np.all(size <= self.r_b * (1.0 + 1e-12)):
             worst = float(np.max(size))
             raise ValueError(
                 f"query radius {worst:.17g} outside the band [-{self.r_b:.17g}, {self.r_b:.17g}]"
             )
         return rr, np.minimum(size, self.r_b, out=size)
+
+    def _interval(self, x: np.ndarray) -> np.ndarray:
+        """np.searchsorted(radii[1:-1], x, side="right") for x in [0, r_b],
+        exactly: the i with radii[i] <= x < radii[i+1], the last interval
+        closed, from the bucket table (see _interval_table)."""
+        edges = self._edges
+        i = self._table.take((x * self._scale).astype(np.intp))
+        for step in self._steps:
+            if step == 1:
+                i += x >= edges.take(i + 1)
+            else:
+                i += step * (x >= edges.take(i + step))
+        return i
+
+    def _lookup(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The interval i of each x and the powers of s = x - radii[i],
+        computed once for the folded radii of an owned grid."""
+        owned = self._record(x)
+        if owned is not None and owned.lookup is not None:
+            return owned.lookup
+        i = self._interval(x)
+        s = x - self.radii.take(i)
+        s2 = s * s
+        lookup = (i, s, s2, s2 * s)
+        if owned is not None:
+            owned.lookup = lookup
+        return lookup
 
     def _hermite(self, x: np.ndarray, *pieces: np.ndarray) -> list[np.ndarray]:
         """The given Hermite pieces at x in [0, r_b], from one interval lookup.
@@ -231,19 +372,29 @@ class ProfileCurve:
         (the last one closed), then c3 + c2 s, + c1 s^2, + c0 s^3 in that
         order, with s = x - radii[i].
         """
-        radii = self.radii
-        i = np.searchsorted(radii[1:-1], x, side="right")
-        s = x - radii[i]
-        s2 = s * s
-        s3 = s2 * s
+        i, s, s2, s3 = self._lookup(x)
         return [
             ((c3.take(i) + c2.take(i) * s) + c1.take(i) * s2) + c0.take(i) * s3
             for c0, c1, c2, c3 in pieces
         ]
 
     def frame(self, r) -> ProfileFrame:
-        """Evaluate the derivative chain at r (scalar or array)."""
-        rr, folded = self._fold(r)
+        """Evaluate the derivative chain at r (scalar or array).
+
+        The frame of an owned grid is computed once and then shared, with
+        read-only members.
+        """
+        owned = self._record(r)
+        if owned is None or owned.grid is not r:
+            return self._frame(*self._fold(r))
+        if owned.frame is None:
+            fr = self._frame(r, owned.folded)
+            for values in (fr.c1, fr.c2, fr.dc1, fr.dc2, fr.ddc1, fr._s, fr._sdot):
+                _readonly(values)
+            owned.frame = fr
+        return owned.frame
+
+    def _frame(self, rr: np.ndarray, folded: np.ndarray) -> ProfileFrame:
         c1, c2 = self._hermite(folded, self._c1, self._c2)
         c2 = np.sign(rr) * c2
         a2 = self.spec.a ** 2

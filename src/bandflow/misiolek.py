@@ -484,14 +484,15 @@ def optimal_bump_ratio(F: RadialProfile, curve: ProfileCurve, n: int = 4000) -> 
     """
     if n < 16:
         raise ValueError("grid too coarse for the eigenvalue bound")
-    r_b = curve.r_b
-    r = np.linspace(-r_b, r_b, n + 1)
-    step = r[1] - r[0]
-    mid = 0.5 * (r[:-1] + r[1:])
+    # the pencil grids of np.linspace(-r_b, r_b, n + 1), owned by the curve
+    mid = curve.sample_grid("mid", n)
+    interior = curve.sample_grid("interior", n)
+    # r[1] - r[0] of that linspace, whose r[0] is exactly -r_b
+    step = interior[0] + curve.r_b
     c1_mid = curve.c1(mid)
-    fi = curve.frame(r[1:-1])
+    fi = curve.frame(interior)
     big_f_mid = F.value(mid)
-    big_f_int = F.value(r[1:-1])
+    big_f_int = F.value(interior)
     penalty = big_f_mid**2 * c1_mid**3
     gain = big_f_int**2 * fi.c1 * np.maximum(fi.eps_sq, 0.0)
     peak = float(np.max(gain))

@@ -221,7 +221,7 @@ class CurvePowerProfile(RadialProfile):
     def _parts(self, r):
         fr = self.curve.frame(r)
         a = self.curve.spec.a
-        return fr.c1 / a, fr.dc1 / a, fr.ddc1 / a, fr.dddc1 / a
+        return fr, fr.c1 / a, fr.dc1 / a, fr.ddc1 / a
 
     def _value_at(self, r, c1):
         u = c1 / self.curve.spec.a
@@ -231,18 +231,19 @@ class CurvePowerProfile(RadialProfile):
         return self._value_at(r, self.curve.c1(r))
 
     def d1(self, r):
-        u, du, _, _ = self._parts(r)
+        _, u, du, _ = self._parts(r)
         p = self.p
         return (1.0 - self.delta) * p * u ** (p - 1.0) * du
 
     def d2(self, r):
-        u, du, ddu, _ = self._parts(r)
+        _, u, du, ddu = self._parts(r)
         p = self.p
         core = (p - 1.0) * u ** (p - 2.0) * du * du + u ** (p - 1.0) * ddu
         return (1.0 - self.delta) * p * core
 
     def d3(self, r):
-        u, du, ddu, dddu = self._parts(r)
+        fr, u, du, ddu = self._parts(r)
+        dddu = fr.dddc1 / self.curve.spec.a
         p = self.p
         core = (
             (p - 1.0) * (p - 2.0) * u ** (p - 3.0) * du**3
@@ -277,19 +278,29 @@ def _plateau(r, start, span, *orders: int) -> list[np.ndarray]:
     """Derivatives `orders` (each 0-3) at r of the plateau that descends
     over start <= |r| <= start + span, computed from one descent
     coordinate; start and span may be arrays matching r, so that plateaus
-    of many widths evaluate in one pass."""
+    of many widths evaluate in one pass.
+
+    The smoothstep is evaluated only where the plateau descends, 0 < t <
+    1; elsewhere the value is exactly 1 (flat top) or 0 (beyond the
+    edge) and every derivative exactly 0.
+    """
     t = (np.abs(r) - start) / span
-    clipped = np.clip(t, 0.0, 1.0)
-    inside = (t > 0.0) & (t < 1.0)
+    descent = np.flatnonzero((t > 0.0) & (t < 1.0))
+    t_in = t.take(descent)
+    span_in = span.take(descent) if np.ndim(span) else span
     out = []
     for order in orders:
         if order == 0:
-            out.append(1.0 - _smoothstep(clipped, 0))
+            part = (t <= 0.0).astype(float)
+            np.put(part, descent, 1.0 - _smoothstep(t_in, 0))
+            out.append(part)
             continue
-        slope = -_smoothstep(clipped, order)
+        slope = -_smoothstep(t_in, order)
         if order % 2:
-            slope = slope * np.sign(r)
-        out.append(np.where(inside, slope / span**order, 0.0))
+            slope = slope * np.sign(r.take(descent))
+        part = np.zeros_like(t)
+        np.put(part, descent, slope / span_in**order)
+        out.append(part)
     return out
 
 
@@ -346,9 +357,11 @@ class HelmholtzProfile(RadialProfile):
     witness search carries this family alongside the closed-form ones.
     A negative rate selects the growing branch with slope +|rate|.
     Second and third derivatives come from the equation itself, so only f
-    and f' are interpolated, as Hermite pieces on the curve's node grid
-    that the curve's own fold and interval lookup evaluate, so a query
-    outside the band raises ValueError here as it does on the curve.
+    and f' are interpolated, as Hermite pieces on the curve's node grid.
+    Every read goes through the curve's own fold and interval lookup
+    (ProfileCurve._hermite): a query outside the band raises ValueError
+    here as it does on the curve, and on a grid the curve owns the lookup,
+    like the frame, is the one the curve already computed.
 
     The state (f, f') is integrated in the meridian angle t, where the
     arc-length speed is s = dr/dt = sqrt(1 + (a^2 - 1) sin^2 t) and the
@@ -393,6 +406,7 @@ class HelmholtzProfile(RadialProfile):
             )
         radii = curve.radii
         f_nodes, df_nodes = _dense_rows(sol.sol, angles, [0, 1])
+        # the curve owns its node grid, so every build reads one frame there
         fr = curve.frame(radii)
         ddf_nodes = (fr.dc1 / fr.c1) * df_nodes - self.rate * f_nodes
         # Hermite coefficients on the curve's node grid, which the curve's

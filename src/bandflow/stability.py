@@ -153,11 +153,15 @@ def _pencil_smallest(
         raise ConvergenceFailure("eigen pencil is not positive definite")
     sigma = 0.0
     y = np.ones_like(mass)
+    # the differences of y with its zero walls, one per interval
+    dy = np.empty(k.size)
     prev = math.inf
     for _ in range(_PENCIL_MAX_STEPS):
         y = lapack.dpttrs(d, e, mass * y)[0]
         y /= np.max(np.abs(y))
-        dy = np.diff(y, prepend=0.0, append=0.0)
+        dy[0] = y[0]
+        np.subtract(y[1:], y[:-1], out=dy[1:-1])
+        dy[-1] = -y[-1]
         lam = float((k @ (dy * dy) + (potential * y) @ y) / (mass @ (y * y)))
         if abs(prev - lam) <= 4.0 * _EPS * lam:
             return lam
@@ -183,12 +187,11 @@ def _pencil_smallest(
 
 def _sl_smallest(curve: ProfileCurve, m: int, n: int) -> float:
     # symmetric finite differences of the self-adjoint form on n intervals;
-    # interior unknowns only, Dirichlet walls
-    r_b = curve.r_b
-    nodes = np.linspace(-r_b, r_b, n + 1)
-    c_mid = curve.c1(0.5 * (nodes[:-1] + nodes[1:]))
-    c_int = curve.c1(nodes[1:-1])
-    return _pencil_smallest(c_mid, (m * m) / c_int, c_int, 2.0 * r_b / n)
+    # interior unknowns only, Dirichlet walls; the grids are the curve's,
+    # shared by every mode
+    c_mid = curve.c1(curve.sample_grid("mid", n))
+    c_int = curve.c1(curve.sample_grid("interior", n))
+    return _pencil_smallest(c_mid, (m * m) / c_int, c_int, 2.0 * curve.r_b / n)
 
 
 def lambda1_mode(curve: ProfileCurve, m: int, n: int = 2048) -> EigenEstimate:
@@ -241,7 +244,8 @@ def check_arnold(
 ) -> StabilityReport:
     """Assign the Arnold branch verdict for the zonal flow generated by f.
 
-    F' is scanned on a uniform grid of 1024 points across the band; the
+    F' is scanned on the curve's uniform grid of 1024 points across the
+    band (ProfileCurve.sample_grid, shared by every profile checked); the
     negative branch keeps a safety fraction of lambda1 in hand because
     lambda1 is itself a numerical estimate.  A precomputed Lambda1Result
     may be injected to amortize scans over many candidate profiles.
@@ -249,7 +253,7 @@ def check_arnold(
     if not 0.0 <= safety < 1.0:
         raise ValueError(f"safety must lie in [0, 1), got {safety}")
     lam = lambda_result if lambda_result is not None else lambda1(curve)
-    radii = np.linspace(-curve.r_b, curve.r_b, _FPRIME_GRID)
+    radii = curve.sample_grid("band", _FPRIME_GRID)
     slope = fprime_from_f(f, curve, radii)
     fprime_min = float(np.min(slope))
     fprime_max = float(np.max(slope))
@@ -278,7 +282,8 @@ def profile_conditions(
 ) -> ProfileConditions:
     """Evaluate the five admissibility conditions on f over a dense grid.
 
-    The grid holds 2048 points on [0, r_b], mirrored for parity.  Strict
+    The grid holds 2048 points on [0, r_b], mirrored for parity; both are
+    the curve's own (ProfileCurve.sample_grid).  Strict
     monotonicity is tested between consecutive samples with slack 1e-12,
     skipping the pair touching r = 0 where even functions are flat to
     second order.  rho quantifies the boundary smallness requirement
@@ -286,9 +291,9 @@ def profile_conditions(
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    half = np.linspace(0.0, curve.r_b, _CONDITION_GRID)
+    half = curve.sample_grid("half", _CONDITION_GRID)
     right = f.value(half)
-    left = f.value(-half)
+    left = f.value(curve.sample_grid("mirror", _CONDITION_GRID))
     c1 = curve.c1(half)
 
     positive = bool(np.min(right) > 0.0 and np.min(left) > 0.0)

@@ -276,7 +276,7 @@ def _candidate_outcomes(
     A candidate whose f comes within 1e-12 of zero is inadmissible and
     skips both; the admissible ones share one lockstep width search.
     """
-    probe = np.linspace(-curve.r_b, curve.r_b, 512)
+    probe = curve.sample_grid("band", 512)
     outcomes: list[CandidateOutcome] = []
     searched: list[tuple[int, RadialProfile]] = []
     for order, (family, params, f) in enumerate(_candidate_profiles(curve, lam, config)):

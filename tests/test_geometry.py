@@ -371,3 +371,74 @@ def test_profile_table_layout(band):
     # epsilon column is the defect evaluated on the same radii
     eps = curvature_defect(band, table[:, 0])
     assert np.array_equal(table[:, 6], eps)
+
+
+@pytest.mark.parametrize("b", [1e-3, 0.5, 0.98, 1.0 - 1e-9])
+@pytest.mark.parametrize("a", [1.0, 1.5, 3.0, 12.0, 150.0, 1000.0, 1061.0])
+def test_bucket_lookup_is_searchsorted(a, b):
+    """The bucketed interval lookup gives np.searchsorted's index at every
+    node, one ulp either side of it, at every bucket edge and one ulp
+    either side, and at both ends of [0, r_b]; its table holds at most 4n
+    entries, and a band with a <= 3 needs one bisection step."""
+    curve = solve_profile(SurfaceSpec(a, b))
+    radii, r_b = curve.radii, curve.r_b
+    n = radii.size
+    assert curve._table.size <= 4 * n
+    if a <= 3.0:
+        assert curve._steps == (1,)
+    edges = np.arange(curve._table.size) / curve._scale
+    points = np.concatenate([radii, edges])
+    x = np.concatenate(
+        [points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf), [0.0, r_b]]
+    )
+    x = np.clip(x, 0.0, r_b)
+    want = np.searchsorted(radii[1:-1], x, side="right")
+    assert np.array_equal(curve._interval(x), want)
+
+
+def test_nan_fails_the_band_check_before_the_lookup(band, monkeypatch):
+    """A nan radius raises in the band check; the bucket lookup, which
+    casts radii to table indices, never sees it."""
+
+    def refuse(self, x):
+        raise AssertionError("the lookup ran on an unchecked radius")
+
+    monkeypatch.setattr(ProfileCurve, "_interval", refuse)
+    for accessor in (band.c1, band.c2, band.frame):
+        for r in (math.nan, np.array([0.1, math.nan])):
+            with pytest.raises(ValueError, match="outside the band"):
+                accessor(r)
+
+
+def test_owned_grids_are_read_only_bounded_and_shared():
+    curve = solve_profile(SurfaceSpec(2.0, 0.5))
+    r_b = curve.r_b
+    band_grid = curve.sample_grid("band", 1024)
+    assert curve.sample_grid("band", 1024) is band_grid
+    assert band_grid.tobytes() == np.linspace(-r_b, r_b, 1024).tobytes()
+    half = curve.sample_grid("half", 2048)
+    assert half.tobytes() == np.linspace(0.0, r_b, 2048).tobytes()
+    assert curve.sample_grid("mirror", 2048).tobytes() == (-half).tobytes()
+    nodes = np.linspace(-r_b, r_b, 4001)
+    assert curve.sample_grid("interior", 4000).tobytes() == nodes[1:-1].tobytes()
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    assert curve.sample_grid("mid", 4000).tobytes() == mid.tobytes()
+    with pytest.raises(ValueError, match="unknown sample grid"):
+        curve.sample_grid("random", 10)
+    # owned arrays, and the members of their shared frame, refuse writes
+    fr = curve.frame(band_grid)
+    assert curve.frame(band_grid) is fr
+    for values in (band_grid, half, curve.radii, fr.r, fr.c1, fr.dc1, fr.eps_sq, fr.dddc1):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+    # and equal a fresh frame on a copy, bit for bit
+    fresh = curve.frame(band_grid.copy())
+    for name in ("c1", "c2", "dc1", "dc2", "ddc1", "ddc2", "dddc1", "eps_sq"):
+        assert getattr(fr, name).tobytes() == getattr(fresh, name).tobytes(), name
+    # the curve keeps at most _MAX_OWNED_GRIDS; later grids are not kept
+    for n in range(100, 140):
+        grid = curve.sample_grid("band", n)
+        assert grid.tobytes() == np.linspace(-r_b, r_b, n).tobytes()
+    assert len(curve._grids) == geometry._MAX_OWNED_GRIDS
+    assert len(curve._owned) <= 2 * geometry._MAX_OWNED_GRIDS + 1
+    assert curve.sample_grid("band", 139) is not curve.sample_grid("band", 139)

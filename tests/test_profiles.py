@@ -211,3 +211,42 @@ def test_helmholtz_refuses_radii_off_the_band(band, outside):
             method(r)
         with pytest.raises(ValueError):
             method(np.array([0.0, -r]))
+
+
+def test_plateau_off_the_descent_is_exact_and_on_it_the_smoothstep():
+    """The plateau evaluates its smoothstep only where it descends; every
+    value and derivative equals the smoothstep of the clipped descent
+    coordinate, bit for bit, for one width and for a batch of widths, on
+    1-d and 2-d radii, with the flat top exactly (1, 0) and the outside
+    exactly (0, 0)."""
+    from bandflow.profiles import _plateau, _smoothstep
+
+    def clipped_form(r, start, span, order):
+        t = (np.abs(r) - start) / span
+        clipped = np.clip(t, 0.0, 1.0)
+        if order == 0:
+            return 1.0 - _smoothstep(clipped, 0)
+        slope = -_smoothstep(clipped, order)
+        if order % 2:
+            slope = slope * np.sign(r)
+        return np.where((t > 0.0) & (t < 1.0), slope / span**order, 0.0)
+
+    rng = np.random.default_rng(7)
+    h = PlateauProfile(0.9, 0.3)
+    r = np.concatenate([rng.uniform(-1.0, 1.0, 500), [0.0, h.start, -h.start, 0.9, -0.9, 1.0]])
+    orders = (0, 1, 2, 3)
+    for got, order in zip(_plateau(r, h.start, h.span, *orders), orders):
+        assert got.tobytes() == clipped_form(r, h.start, h.span, order).tobytes()
+    grid = r[:500].reshape(20, 25)
+    for got, order in zip(_plateau(grid, h.start, h.span, *orders), orders):
+        assert got.shape == grid.shape
+        assert got.tobytes() == clipped_form(grid, h.start, h.span, order).tobytes()
+    starts, spans = rng.uniform(0.1, 0.8, r.size), rng.uniform(0.05, 0.5, r.size)
+    for got, order in zip(_plateau(r, starts, spans, *orders), orders):
+        assert got.tobytes() == clipped_form(r, starts, spans, order).tobytes()
+    flat = np.array([0.0, 0.5 * h.start, -h.start])
+    outside = np.array([0.9, -0.95, 1.0])
+    assert _plateau(flat, h.start, h.span, 0)[0].tolist() == [1.0] * 3
+    assert _plateau(outside, h.start, h.span, 0)[0].tolist() == [0.0] * 3
+    for order in (1, 2, 3):
+        assert not np.any(_plateau(np.concatenate([flat, outside]), h.start, h.span, order)[0])

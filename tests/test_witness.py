@@ -12,14 +12,18 @@ from bandflow import (
     SWEEP_COLUMNS,
     CurvePowerProfile,
     PlateauProfile,
+    ProfileCurve,
     SurfaceSpec,
     WitnessSearchConfig,
     ZonalVelocityProfile,
     canonical_json,
+    check_arnold,
     find_witness,
     jsonify,
     lambda1,
     mc_bump_formula,
+    optimal_bump_ratio,
+    profile_conditions,
     solve_profile,
     sweep,
     sweep_summary,
@@ -298,3 +302,83 @@ def test_route_agreement_rule(x, y, agree):
 
     assert witness._agreement(result(x), result(y)) is agree
     assert witness._agreement(result(y), result(x)) is agree
+
+
+# the candidate-independent grids of one cell: the admissibility probe,
+# check_arnold's scan, profile_conditions' half grid (its mirror shares the
+# lookup), lambda1's pencils at 2048 and 4096 intervals and
+# optimal_bump_ratio's at 4000
+_CELL_GRIDS = (
+    ("band", 512),
+    ("band", 1024),
+    ("half", 2048),
+    ("interior", 2048),
+    ("mid", 2048),
+    ("interior", 4096),
+    ("mid", 4096),
+    ("interior", 4000),
+    ("mid", 4000),
+)
+
+
+def test_one_cell_looks_up_each_fixed_grid_once(monkeypatch):
+    """In a default find_witness cell each fixed sample grid, and the node
+    grid that the Helmholtz builds read, is looked up once for all
+    candidates (before the curve owned them, the 1024-, 2048- and
+    512-point grids were looked up 87, 65 and 18 times)."""
+    curves, lookups = [], []
+    real_solve, real_interval = witness.solve_profile, ProfileCurve._interval
+
+    def solve(spec):
+        curves.append(real_solve(spec))
+        return curves[-1]
+
+    def interval(self, x):
+        lookups.append(x.copy())
+        return real_interval(self, x)
+
+    monkeypatch.setattr(witness, "solve_profile", solve)
+    monkeypatch.setattr(ProfileCurve, "_interval", interval)
+    find_witness(SurfaceSpec(2.0, 0.5))
+    (curve,) = curves
+    grids = [np.abs(curve.sample_grid(kind, n)) for kind, n in _CELL_GRIDS]
+    for grid, name in zip([*grids, curve.radii], [*_CELL_GRIDS, "nodes"]):
+        seen = sum(x.size == grid.size and np.array_equal(x, grid) for x in lookups)
+        assert seen == 1, name
+
+
+def _fresh_grid(curve, kind, n):
+    """The grids as a fresh np.linspace, which the checks built per call
+    before the curve owned them."""
+    r_b = curve.r_b
+    if kind == "band":
+        return np.linspace(-r_b, r_b, n)
+    if kind in ("half", "mirror"):
+        half = np.linspace(0.0, r_b, n)
+        return half if kind == "half" else -half
+    nodes = np.linspace(-r_b, r_b, n + 1)
+    return nodes[1:-1] if kind == "interior" else 0.5 * (nodes[:-1] + nodes[1:])
+
+
+def test_checks_on_owned_grids_equal_fresh_linspace(monkeypatch):
+    """Every check that reads the curve's owned grids gives, for each of a
+    default cell's candidates, the bits it gives on fresh np.linspace
+    grids, which the curve does not own and so neither memoizes."""
+    curve = solve_profile(SurfaceSpec(2.0, 0.5))
+    lam = lambda1(curve)
+    profiles = [f for _, _, f in witness._candidate_profiles(curve, lam, WitnessSearchConfig())]
+
+    def run():
+        checks = [
+            (
+                check_arnold(f, curve, lambda_result=lam),
+                profile_conditions(f, curve),
+                optimal_bump_ratio(ZonalVelocityProfile(f, curve), curve).hex(),
+            )
+            for f in profiles
+        ]
+        return repr((checks, lambda1(curve)))
+
+    owned = run()
+    monkeypatch.setattr(ProfileCurve, "sample_grid", _fresh_grid)
+    assert run() == owned
