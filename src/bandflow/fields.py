@@ -235,6 +235,17 @@ class SeparableField(VectorField):
         angle = self.harmonic * np.asarray(theta, dtype=float) + self.phase
         return (*memo[1], angle)
 
+    def is_boundary_tangent(self) -> bool:
+        """Whether u1 vanishes on both boundary circles, at every angle.
+
+        Decided from P at +-r_b: the supremum of |sin(m theta + phase)| is
+        1 for m >= 1 and |sin(phase)| for m = 0, so no sample of angles
+        can miss a harmonic.
+        """
+        edge = self.radial(np.array([-self.curve.r_b, self.curve.r_b]))[0]
+        reach = 1.0 if self.harmonic else abs(math.sin(self.phase))
+        return float(np.max(np.abs(edge))) * reach <= _TANGENCY_TOL
+
     def u1(self, r, theta) -> np.ndarray:
         p, _, _, angle = self._factors(r, theta)
         return p * np.sin(angle)
@@ -268,17 +279,18 @@ def divergence(field: VectorField, r, theta) -> np.ndarray:
     """Coordinate divergence (partial_r + dc1/c1) u1 + partial_theta u2.
 
     Serves as the verification oracle for every divergence-free claim in
-    the package.
+    the package.  r and theta reach the field as given, so a column of
+    radii against a row of angles costs a separable field one radial
+    evaluation per radius.
     """
-    r_b, th_b = np.broadcast_arrays(
-        np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
-    )
-    fr = field.curve.frame(np.ravel(r_b))
-    weight = (fr.dc1 / fr.c1).reshape(r_b.shape)
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    fr = field.curve.frame(np.ravel(r))
+    weight = (fr.dc1 / fr.c1).reshape(r.shape)
     return (
-        field.du1_dr(r_b, th_b)
-        + weight * np.asarray(field.u1(r_b, th_b), dtype=float)
-        + field.du2_dtheta(r_b, th_b)
+        field.du1_dr(r, theta)
+        + weight * np.asarray(field.u1(r, theta), dtype=float)
+        + field.du2_dtheta(r, theta)
     )
 
 

@@ -15,6 +15,7 @@ c1 dr wedge dtheta.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -50,11 +51,15 @@ _SAMPLE_POINTS = 401
 class MCResult:
     """One curvature evaluation: value, method tag, and quadrature budget.
 
-    error_estimate covers the adaptive radial quadrature; the angular
-    direction is spectrally converged for the shipped trigonometric
-    integrands.  samples holds (r, radial integrand) rows for plotting and
-    is not part of the serialized result; sampler builds them on first
-    read, so results that are never plotted cost no sample table.
+    error_estimate covers the adaptive radial quadrature alone.  The 2-d
+    routes sum the angle by the periodic trapezoid rule on n_theta points,
+    which is exact for a trigonometric polynomial of degree below n_theta;
+    their densities are quadratic in a separable field of harmonic m, so of
+    degree 2m, and the routes refuse such a field unless 2m < n_theta, so
+    the angular direction has no error term.  samples holds (r, radial
+    integrand) rows for plotting and is not part of the serialized result;
+    sampler builds them on first read, so results that are never plotted
+    cost no sample table.
     """
 
     value: float
@@ -203,7 +208,26 @@ def field_from_stream(
     return StreamPotentialField(curve, g, harmonic=harmonic, phase=phase)
 
 
-def _theta_nodes(n_theta: int) -> np.ndarray:
+# the periodic trapezoid rule on n points integrates every trigonometric
+# polynomial of degree below n exactly, so 32 angles take any separable
+# field up to harmonic 15; the shipped fields have harmonics 0 to 3
+_N_THETA = 32
+
+
+def _angular_rule(W: VectorField, n_theta: int) -> np.ndarray:
+    """The route's angles, once the rule is known to be exact for W.
+
+    Raises TypeError for a count that is not an integer, ValueError for
+    fewer than one angle, and ValueError for a separable field whose
+    density, of degree 2 * harmonic in theta, the rule would alias.
+    """
+    if operator.index(n_theta) < 1:
+        raise ValueError(f"n_theta must be at least 1, got {n_theta}")
+    if isinstance(W, SeparableField) and 2 * W.harmonic >= n_theta:
+        raise ValueError(
+            f"harmonic {W.harmonic} needs n_theta > {2 * W.harmonic} for an "
+            f"exact angular rule, got {n_theta}"
+        )
     # periodic trapezoid: -pi counted once, +pi excluded as the same point
     return -math.pi + 2.0 * math.pi * np.arange(n_theta) / n_theta
 
@@ -339,13 +363,15 @@ def mc_bump_formula_batch(
     ]
 
 
-def _require_admissible(W: VectorField) -> None:
+def _require_admissible(W: VectorField, thetas: np.ndarray) -> None:
+    # the divergence of a separable field is a radial factor times
+    # sin(m theta + phase), which cannot vanish at all of the route's n
+    # angles when 0 < 2m < n; a fixed probe grid could sit on its zeros
     if not W.is_boundary_tangent():
         raise TangencyViolation(
             "perturbation field does not vanish radially at the boundary circles"
         )
     interior = np.linspace(-W.curve.r_b, W.curve.r_b, 14)[1:-1]
-    thetas = _theta_nodes(12)
     worst = float(np.max(np.abs(divergence(W, interior[:, None], thetas[None, :]))))
     if worst > _DIVERGENCE_TOL:
         raise ValueError(
@@ -359,17 +385,19 @@ def mc_reduced(
     W: VectorField,
     *,
     rel_tol: float = 1e-8,
-    n_theta: int = 256,
+    n_theta: int = _N_THETA,
 ) -> MCResult:
     """Two-dimensional curvature integral in terms of the radial component.
 
     Refuses fields that are not boundary-tangent and divergence-free; the
     reduction is only valid under those hypotheses, so violating inputs
-    get an error rather than a number.
+    get an error rather than a number.  The angle is summed on n_theta
+    equally spaced points, exact for a separable field of harmonic m when
+    2m < n_theta; a smaller n_theta, or one below 1, raises ValueError.
     """
-    _require_admissible(W)
+    thetas = _angular_rule(W, n_theta)
+    _require_admissible(W, thetas)
     curve = W.curve
-    thetas = _theta_nodes(n_theta)
     weight = 2.0 * math.pi / n_theta
 
     def density(r: np.ndarray) -> np.ndarray:
@@ -379,15 +407,17 @@ def mc_reduced(
         tt = thetas[None, :]
         c1 = fr.c1[:, None]
         sharpness = (fr.dc1**2 - fr.c1 * fr.ddc1)[:, None]
-        # -dw1_dth^2 - c1^2 dw1_dr^2 + sharpness w1^2 in two owned buffers;
-        # arrays the field returns are only read
-        cell, term = np.empty((2, r.size, n_theta))
-        np.square(W.du1_dtheta(rr, tt), out=cell)
+        # -dw1_dth^2 - c1^2 dw1_dr^2 + sharpness w1^2; each owned buffer is
+        # made by the square that fills it, so a field read, whose broadcast
+        # product numpy stages through its own buffers, meets at most one
+        # of them; arrays the field returns are only read
+        cell = np.square(W.du1_dtheta(rr, tt))
         np.negative(cell, out=cell)
-        np.square(W.du1_dr(rr, tt), out=term)
+        term = np.square(W.du1_dr(rr, tt))
         term *= c1**2
         cell -= term
-        np.square(W.u1(rr, tt), out=term)
+        del term
+        term = np.square(W.u1(rr, tt))
         term *= sharpness
         cell += term
         return (fv**2 * fr.c1) * cell.sum(axis=1) * weight
@@ -400,14 +430,17 @@ def mc_direct(
     W: VectorField,
     *,
     rel_tol: float = 1e-8,
-    n_theta: int = 256,
+    n_theta: int = _N_THETA,
 ) -> MCResult:
     """Curvature from the definition: brackets, connection, metric pairing.
 
     Computes [Z, W] componentwise, applies the covariant derivatives along
     Z and along the bracket via the Christoffel coefficients, pairs with W
     under g = diag(1, c1^2) and integrates against the area form c1 dr
-    dtheta.  Knows nothing of the reductions it is used to validate.
+    dtheta.  Knows nothing of the reductions it is used to validate.  The
+    angle is summed on n_theta equally spaced points, exact for a
+    separable W of harmonic m when 2m < n_theta; a smaller n_theta, or one
+    below 1, raises ValueError.
     """
     if not isinstance(Z, ZonalField):
         raise ValueError("the base flow must be a zonal field")
@@ -415,7 +448,7 @@ def mc_direct(
         raise ValueError("base flow and perturbation live on different surfaces")
     curve = W.curve
     coeff = Z.coefficient
-    thetas = _theta_nodes(n_theta)
+    thetas = _angular_rule(W, n_theta)
     weight = 2.0 * math.pi / n_theta
 
     def density(r: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from bandflow import (
     PlateauProfile,
     PolynomialProfile,
     RadialProfile,
+    SeparableField,
     StreamFunction,
     StreamPotentialField,
     VectorField,
@@ -205,6 +206,23 @@ def test_divergence_of_radial_spray_on_sphere(sphere):
     expected = 1.0 - r * np.tan(r)
     assert np.max(np.abs(div - expected[:, None])) <= 1e-8
     assert not field.is_boundary_tangent()
+
+
+class _UnitEdge(SeparableField):
+    """u1 = sin(m theta + phase) everywhere, so on both boundary circles."""
+
+    def radial(self, r):
+        return np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
+
+
+@pytest.mark.parametrize(
+    "harmonic, phase, tangent",
+    [(31, 0.0, False), (32, 0.0, False), (64, 0.0, False), (0, 0.5, False), (0, 0.0, True)],
+)
+def test_separable_tangency_is_decided_at_every_angle(band, harmonic, phase, tangent):
+    # harmonics 32 and 64 vanish on all 64 equally spaced angles
+    field = _UnitEdge(band, harmonic=harmonic, phase=phase)
+    assert field.is_boundary_tangent() is tangent
 
 
 class _ArrayOnly(RadialProfile):

@@ -5,6 +5,7 @@ from brackets and covariant derivatives share no algebra, so their
 agreement at 1e-5 relative is treated as mutual validation.  Scaling laws
 and angular symmetry give additional free oracles.
 """
+import inspect
 import math
 
 import numpy as np
@@ -37,6 +38,8 @@ from bandflow import (
 from bandflow.misiolek import mc_bump_formula_batch
 
 MC_P6_W03 = -8.370673593506833  # frozen regression value on the a=2, b=0.5 band
+# the angular rule both 2-d routes use unless told otherwise
+N_THETA = inspect.signature(mc_reduced).parameters["n_theta"].default
 
 
 def _tolerance(value):
@@ -287,6 +290,75 @@ def test_reduced_route_rejects_bad_fields(band):
         mc_reduced(ZonalVelocityProfile(f, band), _Compressible(band))
 
 
+class _SineSpray(SeparableField):
+    """u1 = (r_b^2 - r^2) sin(m theta), u2 = 0: tangent, not divergence-free."""
+
+    def radial(self, r):
+        r_b = self.curve.r_b
+        return r_b**2 - r**2, -2.0 * r, np.zeros_like(r)
+
+
+@pytest.mark.parametrize("harmonic", [5, 6, 7, 12])
+def test_reduced_route_rejects_a_compressible_field_of_any_harmonic(band, harmonic):
+    # harmonics 6 and 12 vanish on every angle of a 12-point probe
+    big_f = ZonalVelocityProfile(CurvePowerProfile(band, 6.0, 1e-3), band)
+    W = _SineSpray(band, harmonic=harmonic)
+    assert W.is_boundary_tangent()
+    with pytest.raises(ValueError, match="divergence"):
+        mc_reduced(big_f, W)
+
+
+@pytest.mark.parametrize(
+    "n_theta, error, message",
+    [(0, ValueError, "at least 1"), (-4, ValueError, "at least 1"), (32.0, TypeError, None)],
+)
+def test_two_d_routes_refuse_a_bad_angle_count(band, n_theta, error, message):
+    f = CurvePowerProfile(band, 6.0, 1e-3)
+    W = bump_field(PlateauProfile(band.r_b, 0.3), band)
+    with pytest.raises(error, match=message):
+        mc_reduced(ZonalVelocityProfile(f, band), W, n_theta=n_theta)
+    with pytest.raises(error, match=message):
+        mc_direct(zonal_from_f(f, band), W, n_theta=n_theta)
+
+
+def test_two_d_routes_refuse_an_aliased_harmonic(band):
+    f = CurvePowerProfile(band, 6.0, 1e-3)
+    big_f = ZonalVelocityProfile(f, band)
+    zonal = zonal_from_f(f, band)
+    # the bump's density has degree 2 in theta, which 2 angles alias
+    bump = bump_field(PlateauProfile(band.r_b, 0.3), band)
+    for route in (
+        lambda n: mc_reduced(big_f, bump, n_theta=n),
+        lambda n: mc_direct(zonal, bump, n_theta=n),
+    ):
+        with pytest.raises(ValueError, match="harmonic 1"):
+            route(2)
+        assert math.isclose(route(3).value, MC_P6_W03, rel_tol=1e-5)
+    g = _even_vanishing_stream(band.r_b, (1.0, -0.4))
+    top = field_from_stream(g, band, harmonic=N_THETA // 2, phase=0.7)
+    with pytest.raises(ValueError, match="harmonic"):
+        mc_reduced(big_f, top)
+    with pytest.raises(ValueError, match="harmonic"):
+        mc_direct(zonal, top)
+
+
+def test_default_angular_rule_is_exact_for_the_route_fields(band):
+    assert inspect.signature(mc_direct).parameters["n_theta"].default == N_THETA
+    f = CurvePowerProfile(band, 6.0, 1e-3)
+    big_f = ZonalVelocityProfile(f, band)
+    zonal = zonal_from_f(f, band)
+    g = _even_vanishing_stream(band.r_b, (1.0, -0.4))
+    fields = _route_fields(band) + [field_from_stream(g, band, harmonic=0, phase=0.7)]
+    for W in fields:
+        for route in (
+            lambda **kw: mc_reduced(big_f, W, **kw),
+            lambda **kw: mc_direct(zonal, W, **kw),
+        ):
+            coarse, fine = route(), route(n_theta=256)
+            assert abs(coarse.value - fine.value) <= 1e-13 * abs(fine.value)
+            assert coarse.n_nodes // N_THETA == fine.n_nodes // 256
+
+
 def test_direct_route_type_and_surface_checks(band, sphere):
     f = CurvePowerProfile(band, 6.0, 1e-3)
     h = PlateauProfile(band.r_b, 0.3)
@@ -428,7 +500,7 @@ def test_helmholtz_at_the_m1_eigenvalue_has_ratio_one(a, b):
 # ------------------------------------------- the 2-d densities' arithmetic
 
 
-def _reference_reduced_density(F, W, n_theta=256):
+def _reference_reduced_density(F, W, n_theta=N_THETA):
     """The reduced density in expression form: one temporary per operation."""
     curve = W.curve
     thetas = -math.pi + 2.0 * math.pi * np.arange(n_theta) / n_theta
@@ -450,7 +522,7 @@ def _reference_reduced_density(F, W, n_theta=256):
     return density
 
 
-def _reference_direct_density(Z, W, n_theta=256):
+def _reference_direct_density(Z, W, n_theta=N_THETA):
     """The direct density in expression form, every field output kept."""
     curve = W.curve
     coeff = Z.coefficient
@@ -545,7 +617,7 @@ def test_two_d_densities_keep_few_round_arrays(band):
     zonal = zonal_from_f(f, band)
     W = bump_field(PlateauProfile(band.r_b, 0.3), band)
     # one (r, theta) array of round 0: 4 panels and their halves, 64 nodes each
-    unit = 3 * 4 * 64 * 256 * 8
+    unit = 3 * 4 * 64 * N_THETA * 8
 
     def peak_units(route):
         route()  # quadrature rules and lazy set-up are not counted
